@@ -2,8 +2,9 @@
 
 Subcommands expose each pipeline stage on a scenario file, plus the figure
 presets.  Exit codes: 0 success, 2 configuration/parse errors, 3 degenerate
-precoding scenarios.  Output CSVs are deterministic; HMIMOS_THREADS caps the
-sweep parallelism without changing results.
+precoding scenarios and other numerical failures.  Output CSVs are
+deterministic; HMIMOS_THREADS caps the sweep parallelism without changing
+results.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .config import load_scenario
 from .csvio import write_csv
@@ -173,6 +176,9 @@ def main(argv=None) -> int:
         return 2
     except (PrecoderDegeneracyError, CapacityExceededError) as exc:
         print(f"hmimos: precoding failed: {exc}", file=sys.stderr)
+        return 3
+    except np.linalg.LinAlgError as exc:
+        print(f"hmimos: numerical failure: {exc}", file=sys.stderr)
         return 3
     for p in paths:
         print(p)

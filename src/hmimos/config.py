@@ -21,11 +21,14 @@ Example::
     user2.z = 3.0
 
 All lengths are in meters.  Per-user keys override the ``rx.*`` defaults.
-Circle layouts take ``total`` instead of ``nx``/``ny``.
+Circle layouts take ``total`` instead of ``nx``/``ny``.  Numbers must be
+finite: ``nan`` and ``inf`` are refused with a :class:`ConfigError` naming
+the key.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -58,9 +61,12 @@ def _get_float(kv, key, default=None):
             raise ConfigError(f"missing required key {key}")
         return default
     try:
-        return float(kv[key])
+        value = float(kv[key])
     except ValueError:
         raise ConfigError(f"key {key}: expected a number, got {kv[key]!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key}: expected a finite number, got {kv[key]!r}")
+    return value
 
 
 def _get_int(kv, key, default=None):

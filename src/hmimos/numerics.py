@@ -3,9 +3,12 @@
 All routines are pure functions of their inputs.  Rank decisions use a
 relative singular-value cutoff (``tol`` times the largest singular value) so
 that tolerance-thresholded pseudo-inverses behave consistently on non-square
-and rank-deficient blocks.  Singular vectors are phase-normalized (first
-nonzero entry of each left singular vector real and nonnegative) so repeated
-runs produce identical matrices.
+and rank-deficient blocks.  Singular vectors carry LAPACK's arbitrary
+phases; every consumer is invariant to them, and repeated runs on the same
+input and BLAS thread count produce identical matrices.  Only
+:func:`svd_partition` forms a full V (it must, to return a null-space
+basis); callers keep it to matrices no wider than the joint row space and
+use the thin :func:`range_basis` for everything else.
 """
 
 from __future__ import annotations
@@ -25,37 +28,10 @@ def as_matrix(a) -> np.ndarray:
     return np.ascontiguousarray(m, dtype=np.complex128)
 
 
-def _fix_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Make the first nonzero entry of each left singular vector real >= 0.
-
-    Columns of ``u`` and rows of ``vh`` are rotated in matched pairs so the
-    product U @ S @ Vh is unchanged.  Leftover rows/columns (beyond the
-    min(m, n) matched pairs) get the same convention applied independently.
-    """
-    u = u.copy()
-    vh = vh.copy()
-
-    def leading_phase(vec):
-        mags = np.abs(vec)
-        top = mags.max(initial=0.0)
-        if top == 0.0:
-            return None
-        idx = int(np.argmax(mags > 1e-12 * top))
-        return vec[idx] / mags[idx]
-
-    paired = min(u.shape[1], vh.shape[0])
-    for j in range(u.shape[1]):
-        ph = leading_phase(u[:, j])
-        if ph is None:
-            continue
-        u[:, j] *= np.conj(ph)
-        if j < paired:
-            vh[j, :] *= ph
-    for j in range(paired, vh.shape[0]):
-        ph = leading_phase(vh[j, :])
-        if ph is not None:
-            vh[j, :] *= np.conj(ph)
-    return u, vh
+def _rank(s: np.ndarray, tol: float) -> int:
+    """Number of singular values (descending) above ``tol`` times the largest."""
+    smax = s[0] if s.size else 0.0
+    return int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0
 
 
 def svd_partition(a, tol: float = DEFAULT_TOL):
@@ -71,19 +47,28 @@ def svd_partition(a, tol: float = DEFAULT_TOL):
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    u, vh = _fix_phases(u, vh)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0
+    rank = _rank(s, tol)
     return u, s, vh[:rank], vh[rank:]
+
+
+def range_basis(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal columns spanning the range (column space) of ``a``.
+
+    Taken from a thin SVD and cut at ``tol * s_max``, so the result is
+    ``a.shape[0] x rank`` and no factor wider than ``min(a.shape)`` is
+    formed.  The row space of ``a`` is ``range_basis(a.conj().T)``.
+    """
+    a = as_matrix(a)
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, : _rank(s, tol)]
 
 
 def effective_rank(a, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values above ``tol`` times the largest one."""
     a = as_matrix(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return _rank(np.linalg.svd(a, compute_uv=False), tol)
 
 
 def pinv(a, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -8,7 +8,9 @@ Two schemes:
 * two-layer precoding: an elimination layer places the transmit matrix in
   the null space of the cross-polarized system, then block diagonalization
   over the (polarization, user) groups removes inter-user and residual
-  cross-polarization coupling.
+  cross-polarization coupling.  Both layers work in the joint row space of
+  the receivers (at most 3 N_r dimensions), never in the full 3 N_s input
+  space.
 
 Rank decisions use the tolerance-thresholded SVD; channel blocks whose
 largest singular value collapses raise :class:`PrecoderDegeneracyError`
@@ -23,7 +25,7 @@ import numpy as np
 
 from .channel import POLS, PolarizedChannel
 from .errors import CapacityExceededError, ConfigError, PrecoderDegeneracyError
-from .numerics import DEFAULT_TOL, svd_partition
+from .numerics import DEFAULT_TOL, range_basis, svd_partition
 
 
 @dataclass(frozen=True)
@@ -77,12 +79,6 @@ def cluster_subchannels(channel: PolarizedChannel, assignment: ClusterAssignment
     return tuple(out)
 
 
-def _require_nonvanishing(name: str, mat: np.ndarray, scale: float, tol: float) -> None:
-    top = float(np.linalg.norm(mat, 2)) if np.any(mat) else 0.0
-    if top <= tol * scale:
-        raise PrecoderDegeneracyError(name, f"largest singular value {top:.3e} below {tol:g} of channel scale")
-
-
 def cross_polar_system(channel: PolarizedChannel) -> np.ndarray:
     """The 3 N_r x 3 N_s system collecting only the cross-polarized blocks."""
     zero = np.zeros_like(channel.block("x", "x"))
@@ -98,64 +94,88 @@ def cross_polar_system(channel: PolarizedChannel) -> np.ndarray:
 def gaussian_elim_precoder(channel: PolarizedChannel, tol: float = DEFAULT_TOL):
     """First-layer precoders (P_x, P_y, P_z) nulling the cross-polarized sums.
 
-    Eliminating the cross-polarization system leaves its null space; the
-    returned matrices are the three per-polarization row blocks of an
-    orthonormal null-space basis of that system, so for every receive
+    The stacked columns of (P_x; P_y; P_z) are an orthonormal basis of the
+    part of the cross-polarization system's null space that some receiver
+    can see: the co-polarized adjoint blockdiag(H_xx, H_yy, H_zz)^H
+    projected off the system's row space.  So for every receive
     polarization the two cross-polarized contributions cancel
-    (H_xy P_y + H_xz P_z = 0 and cyclically).  The shared column space keeps
-    all three co-polarized channels alive; separating the per-polarization
-    data is the second (block-diagonalization) layer's job.
+    (H_xy P_y + H_xz P_z = 0 and cyclically), and the basis has at most
+    3 N_r columns however large the transmit surface.  The rest of the null
+    space is invisible to every co-polarized channel (H_qq P_q x = 0), so it
+    could never carry a stream and dropping it changes no singular value
+    downstream.  Separating the per-polarization data is the second
+    (block-diagonalization) layer's job.
 
     A cross block whose largest singular value collapses below ``tol`` of the
     channel scale (boresight-aligned geometries zero them exactly) raises,
     naming the block.
     """
-    scale = max(float(np.linalg.norm(channel.block(p, q), 2)) for p in POLS for q in POLS)
+    tops = {(p, q): float(np.linalg.norm(channel.block(p, q), 2)) for p in POLS for q in POLS}
+    scale = max(tops.values())
     for q in POLS:
         for p in POLS:
-            if p != q:
-                _require_nonvanishing(f"H_{p}{q}", channel.block(p, q), scale, tol)
+            if p != q and tops[p, q] <= tol * scale:
+                raise PrecoderDegeneracyError(
+                    f"H_{p}{q}",
+                    f"largest singular value {tops[p, q]:.3e} below {tol:g} of channel scale",
+                )
 
-    system = cross_polar_system(channel)
-    _, _, _, v0 = svd_partition(system, tol)
-    if v0.shape[0] < 1:
+    n_s, n_r = channel.n_tx, channel.n_rx
+    row_space = range_basis(cross_polar_system(channel).conj().T, tol)  # 3 N_s x rank
+    if row_space.shape[1] >= 3 * n_s:
         raise PrecoderDegeneracyError("H_XP", "cross-polarization system has no null space")
-    basis = v0.conj().T  # 3 N_s x d, orthonormal columns
-    n_s = channel.n_tx
+    basis = np.zeros((3 * n_s, 3 * n_r), dtype=np.complex128)
+    for i, pol in enumerate(POLS):
+        basis[i * n_s : (i + 1) * n_s, i * n_r : (i + 1) * n_r] = channel.block(pol, pol).conj().T
+    # The second pass takes the row-space residual from eps / s_min (left by
+    # orthonormalizing a nearly cancelled matrix) back down to eps.
+    for _ in range(2):
+        basis = range_basis(basis - row_space @ (row_space.conj().T @ basis), tol)
     return basis[:n_s], basis[n_s : 2 * n_s], basis[2 * n_s :]
 
 
 def bd_precoder(user_blocks, tol: float = DEFAULT_TOL):
-    """Block-diagonalization precoder for one co-polarized channel.
+    """Block-diagonalization precoder over groups of channel rows.
 
-    ``user_blocks`` is the per-user list of N̄_r x N_s effective channels.
-    For each user the other users' blocks are stacked into an interference
-    matrix; the user's precoder lives in its null space, restricted to the
-    row space of the user's own projected channel.  Returns the
-    column-concatenated precoder and the per-user column slices.
+    ``user_blocks`` is the per-group list of m_i x N_s effective channels.
+    One thin SVD of the stacked groups gives an orthonormal basis Q of their
+    joint row space (rank rho); every group's BD span lies inside it, since
+    it is the group's own row space projected onto the null space of the
+    others.  In that basis group i's precoder spans the null space of the
+    other groups' rho-column coordinates, oriented by the SVD of the group's
+    own projected block, then mapped back through Q.  No factor wider than
+    rho is formed.  Returns the column-concatenated precoder and the
+    per-group column slices.
+
+    A group whose rows lie in the span of the other groups (including the
+    case where those fill the whole input space) has no interference-free
+    direction and raises :class:`CapacityExceededError` naming the block.
     """
     k = len(user_blocks)
     n_s = user_blocks[0].shape[1]
+    stacked = np.vstack(user_blocks)
+    q = range_basis(stacked.conj().T, tol)  # N_s x rho
+    rho = q.shape[1]
+    coords = stacked @ q  # M x rho
+    bounds = np.cumsum([0] + [b.shape[0] for b in user_blocks])
     columns = []
     slices = []
     offset = 0
     for i in range(k):
-        others = [user_blocks[j] for j in range(k) if j != i]
-        if others:
-            t_bar = np.vstack(others)
-            _, _, _, v0 = svd_partition(t_bar, tol)
+        if k > 1:
+            others = np.delete(coords, np.s_[bounds[i] : bounds[i + 1]], axis=0)
+            _, _, _, v0 = svd_partition(others, tol)
             if v0.shape[0] < 1:
                 raise CapacityExceededError(
                     f"block {i + 1}: interference of the other {k - 1} blocks fills the "
-                    f"{n_s}-dimensional input space"
+                    f"{rho}-dimensional joint row space of all blocks "
+                    f"(input space {n_s})"
                 )
-            basis = v0.conj().T  # N_s x d
+            basis = v0.conj().T  # rho x d_i
         else:
-            basis = np.eye(n_s, dtype=np.complex128)
-        projected = user_blocks[i] @ basis
-        _, _, v1, _ = svd_partition(projected, tol)
-        n_streams = min(v1.shape[0], user_blocks[i].shape[0])
-        f_i = basis @ v1[:n_streams].conj().T
+            basis = np.eye(rho, dtype=np.complex128)
+        _, _, v1, _ = svd_partition(coords[bounds[i] : bounds[i + 1]] @ basis, tol)
+        f_i = q @ (basis @ v1.conj().T)
         columns.append(f_i)
         slices.append(slice(offset, offset + f_i.shape[1]))
         offset += f_i.shape[1]

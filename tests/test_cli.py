@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hmimos.cli import main, parse_snr_range
@@ -222,3 +223,28 @@ def test_preset_grid_contracts(tmp_path):
     assert main(["preset", "--preset", "fig13", "--out", str(tmp_path)]) == 0
     _, rows = read_rows(tmp_path / "fig13_spectral_efficiency.csv")
     assert len(rows) == 2 * 3 * 16  # schemes x allocations x snr grid
+
+
+@pytest.mark.parametrize("command", ["dof", "precode-sweep"])
+@pytest.mark.parametrize(
+    "line", ["scenario.wavelength = nan", "tx.dx = inf"], ids=["wavelength-nan", "dx-inf"]
+)
+def test_non_finite_number_exits_two(tmp_path, capsys, command, line):
+    key = line.split(" =")[0]
+    text = "\n".join(
+        line if row.startswith(key + " =") else row for row in K3_SCENARIO.splitlines()
+    )
+    scenario = write(tmp_path, "bad.cfg", text + "\n")
+    assert main([command, "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
+    assert f"key {key}: expected a finite number" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_linalg_error_exits_three(tmp_path, capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr("hmimos.cli.dof_rows", diverge)
+    scenario = write(tmp_path, "k2.cfg", K2_SCENARIO)
+    assert main(["dof", "--scenario", str(scenario), "--out", str(tmp_path)]) == 3
+    assert "numerical failure: SVD did not converge" in capsys.readouterr().err

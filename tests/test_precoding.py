@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from _support import random_nf_scenario, two_user_scenario
-from hmimos.channel import assemble_channel
-from hmimos.errors import ConfigError, PrecoderDegeneracyError
+from hmimos.channel import POLS, assemble_channel
+from hmimos.errors import CapacityExceededError, ConfigError, PrecoderDegeneracyError
 from hmimos.geometry import Scenario, SurfaceSpec, UserPlacement
 from hmimos.numerics import svd_partition
 from hmimos.precoding import (
@@ -11,6 +11,7 @@ from hmimos.precoding import (
     cluster_subchannels,
     cluster_users,
     cross_polar_residual,
+    cross_polar_system,
     effective_channel,
     gaussian_elim_precoder,
     two_layer_precoder,
@@ -49,13 +50,60 @@ def test_cluster_selection_matrices():
         assert np.count_nonzero(sel - np.diag(np.diag(sel))) == 0
 
 
-def _k3_scenario(n_side=6, nr_grid=(2, 2)):
+K3_PLACEMENTS = (((0.5, 0.3), 0.8), ((-0.6, 0.4), 1.2), ((0.2, -0.7), 1.6))
+K6_PLACEMENTS = K3_PLACEMENTS + (((-0.9, -0.5), 2.0), ((1.1, -0.4), 2.5), ((-0.3, 1.2), 3.0))
+
+
+def _k3_scenario(n_side=6, nr_grid=(2, 2), placements=K3_PLACEMENTS):
     tx = SurfaceSpec.grid(n_side, n_side, 0.4)
     users = []
-    for (cx, cy), z in zip(((0.5, 0.3), (-0.6, 0.4), (0.2, -0.7)), (0.8, 1.2, 1.6)):
+    for (cx, cy), z in placements:
         rx = SurfaceSpec.grid(*nr_grid, 0.4, center=(cx, cy, z), role="receive")
         users.append(UserPlacement(rx, z))
     return Scenario(wavelength=1.0, transmit=tx, users=tuple(users))
+
+
+def _worst_leakage(channel, pre):
+    """Largest ||H_rx F_tx|| / (||H_rx|| ||F_tx||) over ordered user pairs."""
+    worst = 0.0
+    for i, pol in enumerate(POLS):
+        h_p = channel.block(pol, pol) @ pre.first_layer[i]
+        for k_rx in range(channel.n_users):
+            h_rx = h_p[channel.user_rows(k_rx)]
+            for k_tx in range(channel.n_users):
+                if k_tx != k_rx:
+                    f_tx = pre.second_layer[i][:, pre.col_slices[i][k_tx]]
+                    denom = np.linalg.norm(h_rx) * np.linalg.norm(f_tx)
+                    worst = max(worst, np.linalg.norm(h_rx @ f_tx) / denom)
+    return worst
+
+
+def _seed_pooled_singulars(channel, tol=1e-10):
+    """Reference two-layer precoder, as first written: a full null-space basis
+    of the cross-polar system from a full SVD, then one full SVD of the other
+    groups per (polarization, user) group.  Returns the per-polarization
+    pooled stream singular values."""
+
+    def split(a):
+        _, s, vh = np.linalg.svd(a, full_matrices=True)
+        rank = int(np.count_nonzero(s > tol * s[0])) if s[0] > 0 else 0
+        return vh[:rank], vh[rank:]
+
+    basis = split(cross_polar_system(channel))[1].conj().T
+    n_s = channel.n_tx
+    groups = [
+        (channel.block(pol, pol) @ basis[i * n_s : (i + 1) * n_s])[channel.user_rows(k)]
+        for i, pol in enumerate(POLS)
+        for k in range(channel.n_users)
+    ]
+    pooled = []
+    for i, g in enumerate(groups):
+        null = split(np.vstack(groups[:i] + groups[i + 1 :]))[1].conj().T
+        v1 = split(g @ null)[0]
+        f = null @ v1[: g.shape[0]].conj().T
+        pooled.append(np.linalg.svd(g @ f, compute_uv=False))
+    k = channel.n_users
+    return [np.concatenate(pooled[i * k : (i + 1) * k]) for i in range(3)]
 
 
 def test_cluster_subchannel_shapes_and_rows():
@@ -130,6 +178,52 @@ def test_bd_two_blocks_leak_nothing():
     for sl in slices:
         cols = f[:, sl]
         assert np.allclose(cols.conj().T @ cols, np.eye(cols.shape[1]), atol=1e-10)
+
+
+def test_bd_duplicate_block_raises_instead_of_noise_streams():
+    rng = np.random.default_rng(73)
+    h = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
+    with pytest.raises(CapacityExceededError, match="block 1"):
+        bd_precoder([h, h])
+
+
+def test_bd_contained_block_raises():
+    rng = np.random.default_rng(79)
+    a, b = (rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12)) for _ in range(2))
+    mixed = rng.standard_normal((2, 3)) @ a + rng.standard_normal((2, 3)) @ b
+    with pytest.raises(CapacityExceededError, match="block 3"):
+        bd_precoder([a, b, mixed])
+
+
+def test_bd_interference_filling_input_space_raises():
+    rng = np.random.default_rng(83)
+    blocks = [rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8)) for _ in range(3)]
+    with pytest.raises(CapacityExceededError, match="block 1: interference of the other 2 blocks"):
+        bd_precoder(blocks)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [random_nf_scenario(np.random.default_rng(89 + i)) for i in range(10)]
+    + [_k3_scenario(10, (2, 2), K6_PLACEMENTS)],
+    ids=[f"nf{i}" for i in range(10)] + ["k6-10x10-2x2"],
+)
+def test_two_layer_singulars_match_seed_algorithm(scenario):
+    channel = assemble_channel(scenario)
+    pre = two_layer_precoder(channel)
+    for pol, oracle in zip(POLS, _seed_pooled_singulars(channel)):
+        got = pre.pooled_singulars(pol)
+        assert got.shape == oracle.shape
+        assert np.max(np.abs(got - oracle) / oracle) <= 1e-10
+
+
+def test_two_layer_at_scale_20x20_six_users():
+    channel = assemble_channel(_k3_scenario(20, (3, 2), K6_PLACEMENTS))
+    pre = two_layer_precoder(channel)
+    # the first layer keeps at most the 3 N_r receiver-visible directions
+    assert pre.first_layer[0].shape == (400, 3 * 36)
+    assert cross_polar_residual(channel, pre.first_layer) < 1e-10
+    assert _worst_leakage(channel, pre) < 1e-10
 
 
 def test_effective_channel_block_diagonal():
