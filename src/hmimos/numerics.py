@@ -7,8 +7,8 @@ and rank-deficient blocks.  Singular vectors carry LAPACK's arbitrary
 phases; every consumer is invariant to them, and repeated runs on the same
 input and BLAS thread count produce identical matrices.  Only
 :func:`svd_partition` forms a full V (it must, to return a null-space
-basis); callers keep it to matrices no wider than the joint row space and
-use the thin :func:`range_basis` for everything else.
+basis); the precoder calls it only on matrices no wider than the joint row
+space of the receivers and uses the thin :func:`range_basis` elsewhere.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hmimos.numerics import effective_rank, null_projector, pinv, svd_partition
+from hmimos.numerics import effective_rank, null_projector, pinv, range_basis, svd_partition
 
 
 def random_complex(rng, rows, cols):
@@ -105,3 +105,13 @@ def test_svd_partition_deterministic():
     u2, s2, v12, v02 = svd_partition(a.copy())
     for got, other in [(u1, u2), (s1, s2), (v11, v12), (v01, v02)]:
         assert np.array_equal(got, other)
+
+
+def test_range_basis_is_thin_and_rank_cut():
+    rng = np.random.default_rng(29)
+    a = random_complex(rng, 8, 3) @ random_complex(rng, 3, 5)
+    q = range_basis(a)
+    assert q.shape == (8, 3)
+    assert np.allclose(q.conj().T @ q, np.eye(3), atol=1e-12)
+    assert np.linalg.norm(a - q @ (q.conj().T @ a)) / np.linalg.norm(a) < 1e-12
+    assert range_basis(np.zeros((4, 2))).shape == (4, 0)
