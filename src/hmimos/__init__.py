@@ -1,17 +1,13 @@
 """Deterministic simulator for tri-polarized holographic MIMO surface links
 in the near field: channel synthesis, interference-eliminating precoders,
-power allocation and performance metrics."""
+power allocation and performance metrics.
 
-from .channel import (
-    PolarizedChannel,
-    assemble_channel,
-    channel_block,
-    dyadic_green,
-    radial_coeffs,
-    scalar_green,
-)
+The names below are the pipeline's entry points; everything else lives in
+its module (``hmimos.channel``, ``hmimos.precoding``, ...)."""
+
+from .channel import PolarizedChannel, assemble_channel
 from .config import load_scenario
-from .correlation import CorrelationMatrix, dof, im_green0_xx, im_green_image_xx, tp_dof, transmit_correlation
+from .correlation import transmit_correlation
 from .errors import (
     CapacityExceededError,
     ConfigError,
@@ -20,43 +16,15 @@ from .errors import (
     SingularityError,
 )
 from .experiments import figure_preset, se_sweep
-from .geometry import NearFieldReport, Scenario, SurfaceSpec, UserPlacement, patch_centers, validate_near_field
-from .metrics import (
-    capacity,
-    capacity_families,
-    channel_dof,
-    eigen_spectrum,
-    sinr,
-    spectral_efficiency,
-    total_spectral_efficiency,
-)
-from .numerics import null_projector, pinv, svd_partition
-from .polarization import PhaseConfig, PolarizedExcitation, polarization_descriptors
-from .power import PowerAllocation, pa1_select, pa2_equal, pa3_two_layer, water_fill
-from .precoding import (
-    ClusterAssignment,
-    PrecoderSet,
-    bd_precoder,
-    cluster_subchannels,
-    cluster_users,
-    effective_channel,
-    gaussian_elim_precoder,
-    two_layer_precoder,
-)
+from .geometry import Scenario, SurfaceSpec, UserPlacement
+from .metrics import capacity_families, channel_dof
+from .power import pa1_select, pa2_equal, pa3_two_layer
+from .precoding import cluster_link, two_layer_precoder
 
 __all__ = [
     "PolarizedChannel",
     "assemble_channel",
-    "channel_block",
-    "dyadic_green",
-    "radial_coeffs",
-    "scalar_green",
     "load_scenario",
-    "CorrelationMatrix",
-    "dof",
-    "im_green0_xx",
-    "im_green_image_xx",
-    "tp_dof",
     "transmit_correlation",
     "CapacityExceededError",
     "ConfigError",
@@ -65,36 +33,14 @@ __all__ = [
     "SingularityError",
     "figure_preset",
     "se_sweep",
-    "NearFieldReport",
     "Scenario",
     "SurfaceSpec",
     "UserPlacement",
-    "patch_centers",
-    "validate_near_field",
-    "capacity",
     "capacity_families",
     "channel_dof",
-    "eigen_spectrum",
-    "sinr",
-    "spectral_efficiency",
-    "total_spectral_efficiency",
-    "null_projector",
-    "pinv",
-    "svd_partition",
-    "PhaseConfig",
-    "PolarizedExcitation",
-    "polarization_descriptors",
-    "PowerAllocation",
     "pa1_select",
     "pa2_equal",
     "pa3_two_layer",
-    "water_fill",
-    "ClusterAssignment",
-    "PrecoderSet",
-    "bd_precoder",
-    "cluster_subchannels",
-    "cluster_users",
-    "effective_channel",
-    "gaussian_elim_precoder",
+    "cluster_link",
     "two_layer_precoder",
 ]

@@ -68,32 +68,38 @@ def dyadic_green(r, rp, k0: float) -> np.ndarray:
     return (c1 * np.eye(3) + c2 * np.outer(unit, unit)) * g
 
 
-def channel_block(tx_center, rx_center, ds, dr, k0: float) -> np.ndarray:
-    """Integrated 3x3 channel block between one transmit and one receive patch.
+def pair_blocks(diff, ds, area, k0: float) -> np.ndarray:
+    """Integrated 3x3 channel blocks of transmit/receive patch pairs.
 
-    ``ds`` and ``dr`` are the (dx, dy) patch dimensions at transmitter and
-    receiver.  Aperture sinc factors use the transmit patch dimensions; the
-    receive patch contributes its area only.
+    ``diff`` holds receive-minus-transmit center offsets, shape (..., 3);
+    ``ds`` is the transmit patch (dx, dy) and ``area`` the product of the
+    transmit and receive patch areas, a number or an array broadcasting
+    against ``diff[..., 0]``.  Aperture sinc factors use the transmit patch
+    dimensions; the receive patch contributes its area only.  Returns shape
+    (3, 3, ...): entry [p, q] is receive polarization p, transmit
+    polarization q.
     """
-    tx = np.asarray(tx_center, dtype=float)
-    rx = np.asarray(rx_center, dtype=float)
-    if ds[0] <= 0 or ds[1] <= 0 or dr[0] <= 0 or dr[1] <= 0:
-        raise ValueError("patch dimensions must be positive")
-    diff = rx - tx
-    dist = float(np.linalg.norm(diff))
-    if dist == 0.0:
+    diff = np.asarray(diff, dtype=float)
+    dist = np.linalg.norm(diff, axis=-1)
+    if np.any(dist == 0.0):
         raise SingularityError("coincident patch centers")
-    unit = diff / dist
+    unit = diff / dist[..., None]
     c1, c2 = radial_coeffs(k0 * dist)
-    area = ds[0] * ds[1] * dr[0] * dr[1]
     scalar = (
         area
         * np.exp(1j * k0 * dist)
         / (4.0 * math.pi * dist)
-        * _sinc(k0 * diff[0] * ds[0] / (2.0 * dist))
-        * _sinc(k0 * diff[1] * ds[1] / (2.0 * dist))
+        * _sinc(k0 * diff[..., 0] * ds[0] / (2.0 * dist))
+        * _sinc(k0 * diff[..., 1] * ds[1] / (2.0 * dist))
     )
-    return scalar * (c1 * np.eye(3) + c2 * np.outer(unit, unit))
+    out = np.empty((3, 3) + dist.shape, dtype=np.complex128)
+    for p in range(3):
+        for q in range(3):
+            dyad = c2 * unit[..., p] * unit[..., q]
+            if p == q:
+                dyad = dyad + c1
+            out[p, q] = scalar * dyad
+    return out
 
 
 @dataclass(frozen=True)
@@ -155,44 +161,17 @@ class PolarizedChannel:
 def assemble_channel(scenario: Scenario) -> PolarizedChannel:
     """Build the polarized channel for every user of a scenario.
 
-    Pure per-pair evaluation with a write-disjoint scatter, so the result is
-    independent of evaluation order.
+    One :func:`pair_blocks` evaluation over all users' stacked receive
+    patches; each row carries its own user's receive patch area.
     """
-    k0 = scenario.k0
     tx_spec = scenario.transmit
     tx = patch_centers(tx_spec)
-    ds = (tx_spec.dx, tx_spec.dy)
-
-    counts = [u.surface.count for u in scenario.users]
+    surfaces = [u.surface for u in scenario.users]
+    rx = np.vstack([patch_centers(spec) for spec in surfaces])
+    counts = [spec.count for spec in surfaces]
+    area = np.repeat([tx_spec.dx * tx_spec.dy * spec.dx * spec.dy for spec in surfaces], counts)
+    blocks = pair_blocks(
+        rx[:, None, :] - tx[None, :, :], (tx_spec.dx, tx_spec.dy), area[:, None], scenario.k0
+    )
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    n_r = int(offsets[-1])
-    n_s = tx.shape[0]
-    blocks = np.zeros((3, 3, n_r, n_s), dtype=np.complex128)
-
-    for k, user in enumerate(scenario.users):
-        spec = user.surface
-        rx = patch_centers(spec)
-        diff = rx[:, None, :] - tx[None, :, :]  # (N̄_r, N_s, 3)
-        dist = np.linalg.norm(diff, axis=-1)
-        if np.any(dist == 0.0):
-            raise SingularityError(f"user {k + 1} has a patch coincident with the transmitter")
-        unit = diff / dist[..., None]
-        c1, c2 = radial_coeffs(k0 * dist)
-        area = ds[0] * ds[1] * spec.dx * spec.dy
-        scalar = (
-            area
-            * np.exp(1j * k0 * dist)
-            / (4.0 * math.pi * dist)
-            * _sinc(k0 * diff[..., 0] * ds[0] / (2.0 * dist))
-            * _sinc(k0 * diff[..., 1] * ds[1] / (2.0 * dist))
-        )
-        rows = slice(int(offsets[k]), int(offsets[k + 1]))
-        for p in range(3):
-            for q in range(3):
-                dyad = c2 * unit[..., p] * unit[..., q]
-                if p == q:
-                    dyad = dyad + c1
-                blocks[p, q, rows, :] = scalar * dyad
-
     return PolarizedChannel(blocks=blocks, user_offsets=tuple(int(o) for o in offsets))
-

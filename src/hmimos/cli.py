@@ -10,6 +10,7 @@ results.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -32,16 +33,26 @@ from .experiments import (
 from .numerics import DEFAULT_TOL
 
 
+def _snr_numbers(text: str, parts) -> list[float]:
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ConfigError(f"--snr expects numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"--snr expects finite numbers, got {text!r}")
+    return values
+
+
 def parse_snr_range(text: str) -> list[float]:
-    """Parse 'start:step:stop' (dB) into a grid, or a comma list of values."""
+    """Parse 'start:step:stop' (dB) into a grid, or a comma list of values.
+
+    Every number must be finite.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"--snr expects start:step:stop, got {text!r}")
-        try:
-            start, step, stop = (float(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"--snr expects numbers, got {text!r}") from None
+        start, step, stop = _snr_numbers(text, parts)
         if step <= 0:
             raise ConfigError("--snr step must be positive")
         out = []
@@ -52,10 +63,7 @@ def parse_snr_range(text: str) -> list[float]:
         if not out:
             raise ConfigError("--snr range is empty")
         return out
-    try:
-        out = [float(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise ConfigError(f"--snr expects numbers, got {text!r}") from None
+    out = _snr_numbers(text, [p for p in text.split(",") if p.strip()])
     if not out:
         raise ConfigError("--snr range is empty")
     return out

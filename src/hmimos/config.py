@@ -4,7 +4,6 @@ Example::
 
     # 3 users on a 15x15 transmit surface
     scenario.wavelength = 1.0
-    scenario.noise_power = 1.0
     scenario.total_power = 1.0
     tx.layout = square
     tx.nx = 15
@@ -21,9 +20,13 @@ Example::
     user2.z = 3.0
 
 All lengths are in meters.  Per-user keys override the ``rx.*`` defaults.
-Circle layouts take ``total`` instead of ``nx``/``ny``.  Numbers must be
-finite: ``nan`` and ``inf`` are refused with a :class:`ConfigError` naming
-the key.
+Surface sections (``tx``, ``rx``, ``userN``) take ``layout`` (square,
+rectangle or circle; square needs nx == ny), ``nx``, ``ny``, ``dx``, ``dy``
+and ``total``; ``userN`` also takes ``z``, ``cx`` and ``cy``.  Circle
+layouts take ``total`` instead of ``nx``/``ny``.  There is no noise key:
+sweeps derive the noise power from their SNR axis and ``total_power``.
+Unknown keys, unknown layouts and non-finite numbers (``nan``, ``inf``) are
+refused with a :class:`ConfigError` naming the key.
 """
 
 from __future__ import annotations
@@ -33,9 +36,12 @@ import re
 from pathlib import Path
 
 from .errors import ConfigError
-from .geometry import Scenario, SurfaceSpec, UserPlacement
+from .geometry import LAYOUTS, Scenario, SurfaceSpec, UserPlacement
 
 _KEY_RE = re.compile(r"^[a-z0-9_.]+$")
+_SCENARIO_KEYS = ("scenario.wavelength", "scenario.total_power")
+_SURFACE_FIELDS = ("layout", "nx", "ny", "dx", "dy", "total")
+_USER_FIELDS = _SURFACE_FIELDS + ("z", "cx", "cy")
 
 
 def parse_keyvalues(text: str) -> dict[str, str]:
@@ -55,61 +61,73 @@ def parse_keyvalues(text: str) -> dict[str, str]:
     return out
 
 
-def _get_float(kv, key, default=None):
+def _get_number(kv, key, default=None, kind=float):
     if key not in kv:
         if default is None:
             raise ConfigError(f"missing required key {key}")
         return default
     try:
-        value = float(kv[key])
+        value = kind(kv[key])
     except ValueError:
-        raise ConfigError(f"key {key}: expected a number, got {kv[key]!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"key {key}: expected {noun}, got {kv[key]!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"key {key}: expected a finite number, got {kv[key]!r}")
     return value
 
 
-def _get_int(kv, key, default=None):
-    if key not in kv:
-        if default is None:
-            raise ConfigError(f"missing required key {key}")
-        return default
-    try:
-        return int(kv[key])
-    except ValueError:
-        raise ConfigError(f"key {key}: expected an integer, got {kv[key]!r}") from None
-
-
 def _surface(kv, prefix, fallback=None, center=(0.0, 0.0, 0.0), role="transmit") -> SurfaceSpec:
-    def pick(field, getter, default=None):
-        key = f"{prefix}.{field}"
-        if key in kv:
-            return getter(kv, key)
-        if fallback is not None and f"{fallback}.{field}" in kv:
-            return getter(kv, f"{fallback}.{field}")
-        return default
+    def key_for(field):
+        for head in (prefix, fallback):
+            if head is not None and f"{head}.{field}" in kv:
+                return f"{head}.{field}"
+        return None
 
-    layout = pick("layout", lambda kv, k: kv[k], "rectangle")
-    dx = pick("dx", _get_float)
-    dy = pick("dy", _get_float, dx)
+    def pick(field, kind=float, default=None):
+        key = key_for(field)
+        return default if key is None else _get_number(kv, key, kind=kind)
+
+    layout_key = key_for("layout")
+    layout = kv[layout_key] if layout_key else "rectangle"
+    if layout not in LAYOUTS:
+        raise ConfigError(f"key {layout_key}: expected one of {', '.join(LAYOUTS)}, got {layout!r}")
+    dx = pick("dx")
+    dy = pick("dy", default=dx)
     if dx is None:
         raise ConfigError(f"missing {prefix}.dx (or {fallback}.dx)")
     if layout == "circle":
-        total = pick("total", _get_int)
+        total = pick("total", int)
         if total is None:
             raise ConfigError(f"circle layout needs {prefix}.total")
         return SurfaceSpec.circle(total, dx, dy, center=center, role=role)
-    nx = pick("nx", _get_int)
-    ny = pick("ny", _get_int, nx)
+    nx = pick("nx", int)
+    ny = pick("ny", int, nx)
     if nx is None:
         raise ConfigError(f"missing {prefix}.nx (or {fallback}.nx)")
+    if layout == "square" and nx != ny:
+        raise ConfigError(f"key {layout_key}: square layout needs nx == ny, got {nx} x {ny}")
     return SurfaceSpec.grid(nx, ny, dx, dy, center=center, role=role)
 
 
+def _check_keys(kv) -> None:
+    for key in kv:
+        if key in _SCENARIO_KEYS:
+            continue
+        head, _, field = key.partition(".")
+        if head in ("tx", "rx"):
+            allowed = _SURFACE_FIELDS
+        elif re.match(r"^user\d+$", head):
+            allowed = _USER_FIELDS
+        else:
+            allowed = ()
+        if field not in allowed:
+            raise ConfigError(f"unknown configuration key {key!r}")
+
+
 def scenario_from_keyvalues(kv: dict[str, str]) -> Scenario:
-    wavelength = _get_float(kv, "scenario.wavelength", 1.0)
-    noise = _get_float(kv, "scenario.noise_power", 1.0)
-    power = _get_float(kv, "scenario.total_power", 1.0)
+    _check_keys(kv)
+    wavelength = _get_number(kv, "scenario.wavelength", 1.0)
+    power = _get_number(kv, "scenario.total_power", 1.0)
     tx = _surface(kv, "tx")
 
     user_ids = sorted(
@@ -122,28 +140,14 @@ def scenario_from_keyvalues(kv: dict[str, str]) -> Scenario:
 
     users = []
     for uid in user_ids:
-        z = _get_float(kv, f"user{uid}.z")
-        cx = _get_float(kv, f"user{uid}.cx", 0.0)
-        cy = _get_float(kv, f"user{uid}.cy", 0.0)
+        z = _get_number(kv, f"user{uid}.z")
+        cx = _get_number(kv, f"user{uid}.cx", 0.0)
+        cy = _get_number(kv, f"user{uid}.cy", 0.0)
         surf = _surface(kv, f"user{uid}", fallback="rx", center=(cx, cy, z), role="receive")
         users.append(UserPlacement(surface=surf, distance=z))
 
-    known = {"scenario.wavelength", "scenario.noise_power", "scenario.total_power"}
-    for key in kv:
-        if key in known:
-            continue
-        head = key.split(".", 1)[0]
-        if head not in ("tx", "rx") and not re.match(r"^user\d+$", head):
-            raise ConfigError(f"unknown configuration key {key!r}")
-
     try:
-        return Scenario(
-            wavelength=wavelength,
-            transmit=tx,
-            users=tuple(users),
-            noise_power=noise,
-            total_power=power,
-        )
+        return Scenario(wavelength=wavelength, transmit=tx, users=tuple(users), total_power=power)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -8,7 +8,7 @@ between schemes are meaningful; absolute bit rates depend on this
 normalization and are documented as such.
 
 The user-cluster scheme keeps its physical cross-polarization interference:
-selection confines each user's signal to one co-polarized sub-channel but
+clustering confines each user's signal to one co-polarized sub-channel but
 nulls nothing, so the other polarizations' transmissions leak through the
 cross-polarized blocks and cap the attainable SINR.
 """
@@ -29,7 +29,7 @@ from .geometry import Scenario, SurfaceSpec, UserPlacement
 from .metrics import capacity_families, channel_dof, eigen_spectrum, total_spectral_efficiency
 from .numerics import DEFAULT_TOL
 from .power import pa1_select, pa2_equal, pa3_two_layer
-from .precoding import ClusterAssignment, cluster_users, two_layer_precoder
+from .precoding import ClusterLink, cluster_link, two_layer_precoder
 
 GAIN_HEADROOM = 100.0
 SCHEMES = ("two-layer", "uc")
@@ -38,54 +38,6 @@ PA_NAMES = ("pa1", "pa2", "pa3")
 
 # ---------------------------------------------------------------------------
 # spectral-efficiency machinery
-
-@dataclass(frozen=True)
-class ClusterLink:
-    """Per-user SVD transceivers of the user-cluster scheme."""
-
-    assignment: ClusterAssignment
-    pol_of_user: tuple[int, ...]
-    combiners: tuple[np.ndarray, ...]  # U per user
-    singulars: tuple[np.ndarray, ...]
-    precoders: tuple[np.ndarray, ...]  # V per user (N_s x streams)
-
-    def pooled_singulars(self, pol_index: int) -> np.ndarray:
-        vals = [self.singulars[k] for k in self.assignment.subsets[pol_index]]
-        return np.concatenate(vals) if vals else np.zeros(0)
-
-    def stream_offset(self, user: int) -> int:
-        pol = self.pol_of_user[user]
-        off = 0
-        for k in self.assignment.subsets[pol]:
-            if k == user:
-                return off
-            off += self.singulars[k].size
-        raise KeyError(user)
-
-
-def cluster_link(channel: PolarizedChannel, distances, nr_bar: int) -> ClusterLink:
-    assignment = cluster_users(distances, nr_bar)
-    pol_of_user = [0] * channel.n_users
-    combiners: list[np.ndarray] = [None] * channel.n_users  # type: ignore[list-item]
-    singulars: list[np.ndarray] = list(combiners)
-    precoders: list[np.ndarray] = list(combiners)
-    for pol_index, members in enumerate(assignment.subsets):
-        pol = POLS[pol_index]
-        for k in members:
-            block = channel.user_block(pol, pol, k)
-            u, s, vh = np.linalg.svd(block, full_matrices=False)
-            pol_of_user[k] = pol_index
-            combiners[k] = u
-            singulars[k] = s
-            precoders[k] = vh.conj().T
-    return ClusterLink(
-        assignment=assignment,
-        pol_of_user=tuple(pol_of_user),
-        combiners=tuple(combiners),
-        singulars=tuple(singulars),
-        precoders=tuple(precoders),
-    )
-
 
 def cluster_spectral_efficiency(channel: PolarizedChannel, link: ClusterLink, pa, sigma2: float) -> float:
     """Sum rate of the cluster scheme including cross-polarized leakage.
@@ -98,7 +50,7 @@ def cluster_spectral_efficiency(channel: PolarizedChannel, link: ClusterLink, pa
     for k in range(channel.n_users):
         qi = link.pol_of_user[k]
         s = link.singulars[k]
-        offset = link.stream_offset(k)
+        offset = link.stream_offsets[k]
         shares = pa.g[qi]
         leak_per_stream = np.zeros(s.size)
         for k2 in range(channel.n_users):
@@ -107,16 +59,12 @@ def cluster_spectral_efficiency(channel: PolarizedChannel, link: ClusterLink, pa
                 continue
             cross = channel.user_block(POLS[qi], POLS[pi2], k)
             proj = link.combiners[k].conj().T @ cross @ link.precoders[k2]
-            off2 = link.stream_offset(k2)
-            g2 = pa.g[pi2]
+            off2 = link.stream_offsets[k2]
             n2 = link.singulars[k2].size
-            weights = np.array(
-                [pa.q[pi2] * (g2[off2 + m] if off2 + m < g2.size else 0.0) for m in range(n2)]
-            )
+            weights = pa.q[pi2] * pa.g[pi2][off2 : off2 + n2]
             leak_per_stream += (np.abs(proj[: s.size, :n2]) ** 2) @ weights
         for j in range(s.size):
-            gj = shares[offset + j] if offset + j < shares.size else 0.0
-            signal = pa.q[qi] * gj * s[j] ** 2
+            signal = pa.q[qi] * shares[offset + j] * s[j] ** 2
             total += math.log2(1.0 + signal / (leak_per_stream[j] + sigma2))
     return total
 
@@ -137,10 +85,6 @@ class SweepContext:
     tl_spectra: tuple[np.ndarray, np.ndarray, np.ndarray]
     link: ClusterLink | None
 
-    @property
-    def tl_counts(self):
-        return [s.size for s in self.tl_spectra]
-
 
 def prepare_sweep(scenario: Scenario, schemes=SCHEMES, tol: float = DEFAULT_TOL) -> SweepContext:
     channel = assemble_channel(scenario)
@@ -152,8 +96,8 @@ def prepare_sweep(scenario: Scenario, schemes=SCHEMES, tol: float = DEFAULT_TOL)
     scaled = PolarizedChannel(blocks=channel.blocks * scale, user_offsets=channel.user_offsets)
     link = None
     if "uc" in schemes:
-        nr_bar = _common_nr_bar(scenario)
-        link = cluster_link(scaled, [u.distance for u in scenario.users], nr_bar)
+        _common_nr_bar(scenario)
+        link = cluster_link(scaled, [u.distance for u in scenario.users])
     return SweepContext(
         scenario=scenario,
         channel=scaled,
@@ -162,14 +106,14 @@ def prepare_sweep(scenario: Scenario, schemes=SCHEMES, tol: float = DEFAULT_TOL)
     )
 
 
-def _allocate(pa_name: str, spectra, counts, scenario: Scenario, sigma2: float):
+def _allocate(pa_name: str, spectra, scenario: Scenario, sigma2: float):
     budget = scenario.total_power
     squared = [s**2 for s in spectra]
     if pa_name == "pa1":
         return pa1_select(squared, budget, sigma2)
     if pa_name == "pa2":
         nr_bar = _common_nr_bar(scenario)
-        return pa2_equal(scenario.n_users, nr_bar, budget, stream_counts=counts)
+        return pa2_equal(scenario.n_users, nr_bar, budget, stream_counts=[s.size for s in spectra])
     if pa_name == "pa3":
         return pa3_two_layer(squared, budget, sigma2)
     raise ConfigError(f"unknown power allocation {pa_name!r}")
@@ -180,14 +124,13 @@ def scheme_spectral_efficiency(
 ) -> float:
     sigma2 = ctx.scenario.total_power / 10 ** (snr_db / 10.0)
     if scheme == "two-layer":
-        pa = _allocate(pa_name, ctx.tl_spectra, ctx.tl_counts, ctx.scenario, sigma2)
+        pa = _allocate(pa_name, ctx.tl_spectra, ctx.scenario, sigma2)
         return total_spectral_efficiency(ctx.tl_spectra, pa, sigma2)
     if scheme == "uc":
         if ctx.link is None:
             raise ConfigError("sweep context was prepared without the uc scheme")
         spectra = [ctx.link.pooled_singulars(i) for i in range(3)]
-        counts = [s.size for s in spectra]
-        pa = _allocate(pa_name, spectra, counts, ctx.scenario, sigma2)
+        pa = _allocate(pa_name, spectra, ctx.scenario, sigma2)
         return cluster_spectral_efficiency(ctx.channel, ctx.link, pa, sigma2)
     raise ConfigError(f"unknown precoding scheme {scheme!r}")
 

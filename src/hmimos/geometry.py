@@ -74,12 +74,11 @@ class UserPlacement:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full link description: transmit surface, users, power and noise."""
+    """Full link description: transmit surface, users and power budget."""
 
     wavelength: float
     transmit: SurfaceSpec
     users: tuple[UserPlacement, ...]
-    noise_power: float = 1.0
     total_power: float = 1.0
 
     def __post_init__(self):
@@ -87,8 +86,8 @@ class Scenario:
             raise GeometryError("wavelength must be positive")
         if not self.users:
             raise GeometryError("scenario needs at least one user")
-        if self.noise_power <= 0 or self.total_power <= 0:
-            raise GeometryError("noise and total power must be positive")
+        if self.total_power <= 0:
+            raise GeometryError("total power must be positive")
         object.__setattr__(self, "users", tuple(self.users))
 
     @property

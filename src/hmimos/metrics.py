@@ -1,5 +1,5 @@
-"""Performance quantities: SINR, spectral efficiency, capacity, eigenvalue
-spectra.
+"""Performance quantities: spectral efficiency, capacity, diversity gain,
+eigenvalue spectra.
 
 Capacity comparisons are scale-invariant by construction: the channel is
 trace-normalized per family (||H||_f^2 = number of rows) and the SNR is
@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import POLS, PolarizedChannel
+from .channel import PolarizedChannel
 from .power import PowerAllocation
-from .precoding import PrecoderSet
 
 
 def eigen_spectrum(block) -> np.ndarray:
@@ -58,29 +57,6 @@ def total_spectral_efficiency(per_pol_singulars, pa: PowerAllocation, sigma2: fl
     return sum(
         spectral_efficiency(per_pol_singulars[i], pa.q[i], pa.g[i], sigma2) for i in range(3)
     )
-
-
-def sinr(pre: PrecoderSet, pa: PowerAllocation, sigma2: float, pol: str, user: int, stream: int) -> float:
-    """Per-stream SINR after two-layer precoding.
-
-    Signal power is the stream's squared singular value of the user's own
-    effective block; interference is the residual off-diagonal leakage from
-    the other users' precoded columns, scaled by the polarization power.
-    """
-    i = POLS.index(pol)
-    singulars = pre.user_singulars(pol, user)
-    if stream >= singulars.size:
-        raise IndexError(f"user {user} has {singulars.size} streams in {pol}")
-    offset = pre.col_slices[i][user].start - pre.col_slices[i][0].start
-    q = float(pa.q[i])
-    g = float(pa.g[i][offset + stream]) if offset + stream < pa.g[i].size else 0.0
-    leak = 0.0
-    for other in range(pre.n_users):
-        if other == user:
-            continue
-        leak += float(np.linalg.norm(pre.leakage_block(pol, user, other)) ** 2)
-    signal = q * g * float(singulars[stream] ** 2)
-    return signal / (q * leak + sigma2)
 
 
 def capacity(h, snr: float, n_streams: int | None = None) -> float:

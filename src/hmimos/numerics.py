@@ -1,9 +1,8 @@
 """Dense complex-matrix kernels used by every other module.
 
 All routines are pure functions of their inputs.  Rank decisions use a
-relative singular-value cutoff (``tol`` times the largest singular value) so
-that tolerance-thresholded pseudo-inverses behave consistently on non-square
-and rank-deficient blocks.  Singular vectors carry LAPACK's arbitrary
+relative singular-value cutoff (``tol`` times the largest singular value), so
+they behave consistently on non-square and rank-deficient blocks.  Singular vectors carry LAPACK's arbitrary
 phases; every consumer is invariant to them, and repeated runs on the same
 input and BLAS thread count produce identical matrices.  Only
 :func:`svd_partition` forms a full V (it must, to return a null-space
@@ -63,37 +62,3 @@ def range_basis(a, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise ValueError("tol must be nonnegative")
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return u[:, : _rank(s, tol)]
-
-
-def effective_rank(a, tol: float = DEFAULT_TOL) -> int:
-    """Number of singular values above ``tol`` times the largest one."""
-    a = as_matrix(a)
-    return _rank(np.linalg.svd(a, compute_uv=False), tol)
-
-
-def pinv(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with relative cutoff ``tol``."""
-    a = as_matrix(a)
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
-    inv = np.where(s > tol * smax, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return (vh.conj().T * inv) @ u.conj().T
-
-
-def null_projector(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the null space of ``a``.
-
-    The result ``N`` is square of size ``a.shape[1]`` with ``a @ N ~ 0``,
-    ``N = N^H`` and ``N @ N = N``.  Rank-deficient rows of ``a`` are absorbed
-    by the singular-value cutoff.
-    """
-    a = as_matrix(a)
-    if a.shape[1] < 1:
-        raise ValueError("matrix must have at least one column")
-    _, _, v1, _ = svd_partition(a, tol)
-    n = np.eye(a.shape[1], dtype=np.complex128) - v1.conj().T @ v1
-    return 0.5 * (n + n.conj().T)

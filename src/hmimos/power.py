@@ -60,75 +60,38 @@ def water_fill(gains, budget: float, sigma2: float):
 class PowerAllocation:
     """Per-polarization watts and per-stream shares for one scheme."""
 
-    scheme: str
     q: np.ndarray  # (3,) watts, sums to the budget
     g: tuple[np.ndarray, np.ndarray, np.ndarray]  # shares, each sums to 1 (or all 0)
-    water_level: float | None = None
-    stream_water_levels: tuple = (None, None, None)
-
-    def stream_powers(self, pol_index: int) -> np.ndarray:
-        return self.q[pol_index] * self.g[pol_index]
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.q))
-
-    def export_rows(self):
-        """Long-format rows (pol, stream, q, share, power) for CSV export."""
-        rows = []
-        for i, pol in enumerate(("x", "y", "z")):
-            powers = self.stream_powers(i)
-            for j in range(self.g[i].size):
-                rows.append((pol, j + 1, float(self.q[i]), float(self.g[i][j]), float(powers[j])))
-        return rows
 
 
-def _pol_spectra(effective) -> list[np.ndarray]:
-    """Squared singular values per polarization from matrices or 1-D arrays."""
-    out = []
-    for item in effective:
-        arr = np.asarray(item)
-        if arr.ndim == 2:
-            s = np.linalg.svd(arr, compute_uv=False)
-            out.append(s**2)
-        else:
-            out.append(np.asarray(arr, dtype=float))
-    return out
-
-
-def _waterfill_shares(gains: np.ndarray, budget: float, sigma2: float):
+def _waterfill_shares(gains: np.ndarray, budget: float, sigma2: float) -> np.ndarray:
     """Water-fill a polarization's streams, returned as unit shares."""
     if budget <= 0 or gains.size == 0 or not np.any(gains > 0):
-        return np.zeros(gains.size), None
-    powers, eps = water_fill(gains, budget, sigma2)
-    return powers / budget, eps
+        return np.zeros(gains.size)
+    powers, _ = water_fill(gains, budget, sigma2)
+    return powers / budget
 
 
-def pa1_select(effective, budget: float = 1.0, sigma2: float = 1.0) -> PowerAllocation:
+def pa1_select(spectra, budget: float = 1.0, sigma2: float = 1.0) -> PowerAllocation:
     """Polarization selection: the whole budget on the strongest polarization.
 
-    ``effective`` holds the three effective co-polarized channels (matrices,
-    or precomputed squared singular values).  The polarization with the
-    largest squared Frobenius norm wins; ties go to the lowest index (x
-    before y before z).  Its streams are water-filled.
+    ``spectra`` holds the squared singular values of the three effective
+    co-polarized channels.  The polarization with the largest squared
+    Frobenius norm (sum of the spectrum) wins; ties go to the lowest index
+    (x before y before z).  Its streams are water-filled.
     """
-    spectra = _pol_spectra(effective)
+    spectra = [np.asarray(s, dtype=float) for s in spectra]
     norms = np.array([float(np.sum(s)) for s in spectra])
     if not np.any(norms > 0):
         raise ValueError("all effective channels are zero")
     sel = int(np.argmax(norms))
     q = np.zeros(3)
     q[sel] = budget
-    g = []
-    levels = []
-    for i, spec in enumerate(spectra):
-        if i == sel:
-            shares, eps = _waterfill_shares(spec, budget, sigma2)
-        else:
-            shares, eps = np.zeros(spec.size), None
-        g.append(shares)
-        levels.append(eps)
-    return PowerAllocation(scheme="pa1", q=q, g=tuple(g), stream_water_levels=tuple(levels))
+    g = tuple(
+        _waterfill_shares(spec, budget, sigma2) if i == sel else np.zeros(spec.size)
+        for i, spec in enumerate(spectra)
+    )
+    return PowerAllocation(q=q, g=g)
 
 
 def pa2_equal(n_users: int, nr_bar: int, budget: float = 1.0, stream_counts=None) -> PowerAllocation:
@@ -143,46 +106,22 @@ def pa2_equal(n_users: int, nr_bar: int, budget: float = 1.0, stream_counts=None
     counts = tuple(stream_counts) if stream_counts is not None else (n_users * nr_bar,) * 3
     q = np.full(3, budget / 3.0)
     g = tuple(np.full(c, 1.0 / c) if c > 0 else np.zeros(0) for c in counts)
-    return PowerAllocation(scheme="pa2", q=q, g=g)
+    return PowerAllocation(q=q, g=g)
 
 
-def pa3_two_layer(
-    effective,
-    budget: float = 1.0,
-    sigma2: float = 1.0,
-    per_user_slices=None,
-) -> PowerAllocation:
+def pa3_two_layer(spectra, budget: float = 1.0, sigma2: float = 1.0) -> PowerAllocation:
     """Two-layer allocation: water filling over polarizations, then streams.
 
-    The first layer water-fills the squared Frobenius norms of the three
-    effective channels.  The second layer water-fills each polarization's
-    pooled singular values under that polarization's budget (one water level
-    per polarization).  Pass ``per_user_slices`` (per polarization, per user
-    column slices into the pooled spectrum) to run the second layer per user
-    instead, splitting the polarization budget equally between its users.
+    ``spectra`` holds the squared singular values of the three effective
+    co-polarized channels.  The first layer water-fills their squared
+    Frobenius norms.  The second layer water-fills each polarization's
+    pooled singular values under that polarization's budget (one water
+    level per polarization).
     """
-    spectra = _pol_spectra(effective)
+    spectra = [np.asarray(s, dtype=float) for s in spectra]
     norms = np.array([float(np.sum(s)) for s in spectra])
     if not np.any(norms > 0):
         raise ValueError("all effective channels are zero")
-    q, eps_q = water_fill(norms, budget, sigma2)
-
-    g = []
-    levels = []
-    for i, spec in enumerate(spectra):
-        if per_user_slices is None:
-            shares, eps = _waterfill_shares(spec, q[i], sigma2)
-        else:
-            shares = np.zeros(spec.size)
-            eps = None
-            users = per_user_slices[i]
-            if q[i] > 0 and users:
-                share_budget = q[i] / len(users)
-                for sl in users:
-                    part, eps = _waterfill_shares(spec[sl], share_budget, sigma2)
-                    shares[sl] = part * (share_budget / q[i])
-        g.append(shares)
-        levels.append(eps)
-    return PowerAllocation(
-        scheme="pa3", q=q, g=tuple(g), water_level=eps_q, stream_water_levels=tuple(levels)
-    )
+    q, _ = water_fill(norms, budget, sigma2)
+    g = tuple(_waterfill_shares(spec, q[i], sigma2) for i, spec in enumerate(spectra))
+    return PowerAllocation(q=q, g=g)

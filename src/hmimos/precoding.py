@@ -3,7 +3,7 @@
 Two schemes:
 
 * user clustering: users are dealt round-robin (by distance) onto the three
-  polarizations; 0/1 selection matrices restrict each user to its own
+  polarizations; each user is served by the SVD transceivers of its own
   co-polarized sub-channel.
 * two-layer precoding: an elimination layer places the transmit matrix in
   the null space of the cross-polarized system, then block diagonalization
@@ -33,13 +33,9 @@ class ClusterAssignment:
     """Distance-ranked round-robin split of users onto the polarizations."""
 
     subsets: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    selection: tuple[np.ndarray, np.ndarray, np.ndarray]  # 0/1 diagonal, N_r x N_r
-
-    def subset(self, pol: str) -> tuple[int, ...]:
-        return self.subsets[POLS.index(pol)]
 
 
-def cluster_users(distances, nr_bar: int = 1) -> ClusterAssignment:
+def cluster_users(distances) -> ClusterAssignment:
     """Assign each user to one polarization by sorted distance.
 
     Users sorted ascending by distance are dealt round-robin: ranks 1, 4, ...
@@ -52,31 +48,52 @@ def cluster_users(distances, nr_bar: int = 1) -> ClusterAssignment:
     if k == 0 or k % 3 != 0:
         raise ConfigError("K must be divisible by 3 for user-cluster precoding")
     order = np.argsort(d, kind="stable")
-    subsets = tuple(tuple(int(u) for u in order[i::3]) for i in range(3))
-
-    n_r = k * nr_bar
-    selection = []
-    for members in subsets:
-        diag = np.zeros(n_r)
-        for u in members:
-            diag[u * nr_bar : (u + 1) * nr_bar] = 1.0
-        selection.append(np.diag(diag))
-    return ClusterAssignment(subsets=subsets, selection=tuple(selection))
+    return ClusterAssignment(subsets=tuple(tuple(int(u) for u in order[i::3]) for i in range(3)))
 
 
-def cluster_subchannels(channel: PolarizedChannel, assignment: ClusterAssignment):
-    """Per-polarization sub-channels stacking the rows of the assigned users.
+@dataclass(frozen=True)
+class ClusterLink:
+    """Per-user SVD transceivers of the user-cluster scheme."""
 
-    Each returned matrix has shape (K * N̄_r / 3, N_s) and contains the
-    co-polarized rows of the users in that polarization's subset, in
-    distance-rank order.
-    """
-    out = []
-    for pol, members in zip(POLS, assignment.subsets):
-        h_qq = channel.block(pol, pol)
-        rows = [h_qq[channel.user_rows(u)] for u in members]
-        out.append(np.vstack(rows))
-    return tuple(out)
+    assignment: ClusterAssignment
+    pol_of_user: tuple[int, ...]
+    stream_offsets: tuple[int, ...]  # first stream of each user within its polarization
+    combiners: tuple[np.ndarray, ...]  # U per user
+    singulars: tuple[np.ndarray, ...]
+    precoders: tuple[np.ndarray, ...]  # V per user (N_s x streams)
+
+    def pooled_singulars(self, pol_index: int) -> np.ndarray:
+        vals = [self.singulars[k] for k in self.assignment.subsets[pol_index]]
+        return np.concatenate(vals) if vals else np.zeros(0)
+
+
+def cluster_link(channel: PolarizedChannel, distances) -> ClusterLink:
+    """Cluster the users and take each one's SVD on its own co-polarized block."""
+    assignment = cluster_users(distances)
+    pol_of_user = [0] * channel.n_users
+    offsets = [0] * channel.n_users
+    combiners: list[np.ndarray] = [None] * channel.n_users  # type: ignore[list-item]
+    singulars: list[np.ndarray] = list(combiners)
+    precoders: list[np.ndarray] = list(combiners)
+    for pol_index, members in enumerate(assignment.subsets):
+        pol = POLS[pol_index]
+        offset = 0
+        for k in members:
+            u, s, vh = np.linalg.svd(channel.user_block(pol, pol, k), full_matrices=False)
+            pol_of_user[k] = pol_index
+            offsets[k] = offset
+            offset += s.size
+            combiners[k] = u
+            singulars[k] = s
+            precoders[k] = vh.conj().T
+    return ClusterLink(
+        assignment=assignment,
+        pol_of_user=tuple(pol_of_user),
+        stream_offsets=tuple(offsets),
+        combiners=tuple(combiners),
+        singulars=tuple(singulars),
+        precoders=tuple(precoders),
+    )
 
 
 def cross_polar_system(channel: PolarizedChannel) -> np.ndarray:
@@ -193,39 +210,16 @@ class PrecoderSet:
     row_slices: tuple[slice, ...]  # receive rows per user (within one block)
     col_slices: tuple[tuple[slice, ...], ...]  # per pol, per user stream columns
 
-    @property
-    def n_users(self) -> int:
-        return len(self.row_slices)
-
-    def effective_block(self, pol: str) -> np.ndarray:
-        return self.effective[POLS.index(pol)]
-
-    def user_gain_block(self, pol: str, k: int) -> np.ndarray:
-        i = POLS.index(pol)
-        return self.effective[i][self.row_slices[k], self.col_slices[i][k]]
-
-    def leakage_block(self, pol: str, k_rx: int, k_tx: int) -> np.ndarray:
-        i = POLS.index(pol)
-        return self.effective[i][self.row_slices[k_rx], self.col_slices[i][k_tx]]
-
     def user_singulars(self, pol: str, k: int) -> np.ndarray:
-        return np.linalg.svd(self.user_gain_block(pol, k), compute_uv=False)
+        """Singular values of user k's own block of the effective channel."""
+        i = POLS.index(pol)
+        block = self.effective[i][self.row_slices[k], self.col_slices[i][k]]
+        return np.linalg.svd(block, compute_uv=False)
 
     def pooled_singulars(self, pol: str) -> np.ndarray:
         """All users' effective singular values, user-major order."""
-        vals = [self.user_singulars(pol, k) for k in range(self.n_users)]
+        vals = [self.user_singulars(pol, k) for k in range(len(self.row_slices))]
         return np.concatenate(vals) if vals else np.zeros(0)
-
-    def export_rows(self):
-        """Long-format rows (pol, layer, row, col, re, im) for CSV export."""
-        rows = []
-        for i, pol in enumerate(POLS):
-            for layer, mat in (("P", self.first_layer[i]), ("F", self.second_layer[i])):
-                for r in range(mat.shape[0]):
-                    for c in range(mat.shape[1]):
-                        v = mat[r, c]
-                        rows.append((pol, layer, r + 1, c + 1, float(v.real), float(v.imag)))
-        return rows
 
 
 def two_layer_precoder(channel: PolarizedChannel, tol: float = DEFAULT_TOL) -> PrecoderSet:
@@ -261,23 +255,6 @@ def two_layer_precoder(channel: PolarizedChannel, tol: float = DEFAULT_TOL) -> P
         row_slices=row_slices,
         col_slices=tuple(col_slices),
     )
-
-
-def effective_channel(channel: PolarizedChannel, pre: PrecoderSet) -> np.ndarray:
-    """Block-diagonal spatially precoded channel (x, y, z blocks)."""
-    blocks = [
-        channel.block(pol, pol) @ pre.first_layer[i] @ pre.second_layer[i]
-        for i, pol in enumerate(POLS)
-    ]
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
 
 
 def cross_polar_residual(channel: PolarizedChannel, p_mats) -> float:

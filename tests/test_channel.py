@@ -7,8 +7,8 @@ import pytest
 from _support import two_user_scenario
 from hmimos.channel import (
     assemble_channel,
-    channel_block,
     dyadic_green,
+    pair_blocks,
     radial_coeffs,
     scalar_green,
 )
@@ -17,6 +17,12 @@ from hmimos.geometry import Scenario, SurfaceSpec, UserPlacement
 from hmimos.metrics import eigen_spectrum, significant_count
 
 K0 = 2.0 * math.pi  # wavelength 1 m
+
+
+def one_pair_block(tx_center, rx_center, ds, dr, k0):
+    """One patch pair's 3x3 block through the vectorized kernel."""
+    diff = np.asarray(rx_center, dtype=float) - np.asarray(tx_center, dtype=float)
+    return pair_blocks(diff, ds, ds[0] * ds[1] * dr[0] * dr[1], k0)
 
 
 def test_scalar_green_one_wavelength():
@@ -61,7 +67,7 @@ def test_radial_coeffs_sum_identity():
 
 def test_channel_block_boresight_is_diagonal():
     ds = (0.4, 0.4)
-    block = channel_block([0, 0, 0], [0, 0, 1.0], ds, ds, K0)
+    block = one_pair_block([0, 0, 0], [0, 0, 1.0], ds, ds, K0)
     c1, c2 = radial_coeffs(K0)
     scalar = ds[0] ** 2 * ds[1] ** 2 * cmath.exp(1j * K0) / (4 * math.pi)
     assert np.allclose(block, scalar * np.diag([c1, c1, c1 + c2]), atol=1e-15)
@@ -75,7 +81,7 @@ def test_channel_block_against_independent_evaluation():
     rx = np.array([0.4, 0.0, 1.0])
     ds = (0.4, 0.4)
     dr = (0.4, 0.4)
-    got = channel_block(tx, rx, ds, dr, K0)
+    got = one_pair_block(tx, rx, ds, dr, K0)
 
     dist = math.sqrt(0.4**2 + 1.0**2)
     unit = (rx - tx) / dist
@@ -121,8 +127,8 @@ def test_boresight_cross_blocks_exactly_zero():
 def test_channel_magnitude_decays_with_distance():
     ds = (0.4, 0.4)
     for z in (0.5, 1.0, 2.0, 5.0):
-        near = np.linalg.norm(channel_block([0, 0, 0], [0, 0, z], ds, ds, K0))
-        far = np.linalg.norm(channel_block([0, 0, 0], [0, 0, 2 * z], ds, ds, K0))
+        near = np.linalg.norm(one_pair_block([0, 0, 0], [0, 0, z], ds, ds, K0))
+        far = np.linalg.norm(one_pair_block([0, 0, 0], [0, 0, 2 * z], ds, ds, K0))
         assert far < near
 
 

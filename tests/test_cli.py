@@ -248,3 +248,57 @@ def test_linalg_error_exits_three(tmp_path, capsys, monkeypatch):
     scenario = write(tmp_path, "k2.cfg", K2_SCENARIO)
     assert main(["dof", "--scenario", str(scenario), "--out", str(tmp_path)]) == 3
     assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["nan", "-inf,0", "0:1:inf", "inf:1:2", "0:nan:2"])
+def test_parse_snr_range_refuses_non_finite(text):
+    with pytest.raises(ConfigError, match="--snr expects finite numbers"):
+        parse_snr_range(text)
+
+
+@pytest.mark.parametrize("command", ["capacity", "precode-sweep"])
+@pytest.mark.parametrize("snr", ["nan", "-inf,0", "0:1:inf"])
+def test_non_finite_snr_exits_two(tmp_path, capsys, command, snr):
+    scenario = write(tmp_path, "k3.cfg", K3_SCENARIO)
+    code = main([command, "--scenario", str(scenario), "--out", str(tmp_path), "--snr", snr])
+    assert code == 2
+    assert "--snr expects finite numbers" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def _edited(text, line):
+    """``text`` with the line of ``line``'s key replaced by ``line``, or with it appended."""
+    key = line.split(" =")[0]
+    rows = text.splitlines()
+    if any(row.startswith(key + " =") for row in rows):
+        rows = [line if row.startswith(key + " =") else row for row in rows]
+    else:
+        rows.append(line)
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("tx.layout = hexagon", "key tx.layout: expected one of square, rectangle, circle"),
+        ("tx.ny = 5", "key tx.layout: square layout needs nx == ny, got 4 x 5"),
+        ("user1.foo = 3", "unknown configuration key 'user1.foo'"),
+        ("tx.foo = 3", "unknown configuration key 'tx.foo'"),
+        ("rx.foo = 3", "unknown configuration key 'rx.foo'"),
+        ("rx.z = 2.0", "unknown configuration key 'rx.z'"),
+        ("scenario.noise_power = 1", "unknown configuration key 'scenario.noise_power'"),
+    ],
+    ids=["hexagon", "square-nx-ne-ny", "user-foo", "tx-foo", "rx-foo", "rx-z", "noise-power"],
+)
+def test_lax_scenario_key_exits_two(tmp_path, capsys, line, message):
+    scenario = write(tmp_path, "bad.cfg", _edited(K2_SCENARIO, line))
+    assert main(["dof", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_user_layout_overrides_rx_default(tmp_path):
+    text = _edited(K2_SCENARIO, "rx.layout = square") + "user2.layout = rectangle\nuser2.nx = 3\n"
+    scenario = load_scenario(write(tmp_path, "ok.cfg", text))
+    assert scenario.users[0].surface.layout == "square"
+    assert (scenario.users[1].surface.nx, scenario.users[1].surface.ny) == (3, 2)

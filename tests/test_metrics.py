@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from _support import two_user_scenario
 from hmimos.channel import assemble_channel
 from hmimos.experiments import fig12_scenario, prepare_sweep, scheme_spectral_efficiency
 from hmimos.geometry import Scenario, SurfaceSpec, UserPlacement
@@ -13,54 +12,8 @@ from hmimos.metrics import (
     channel_dof,
     eigen_spectrum,
     significant_count,
-    sinr,
     spectral_efficiency,
 )
-from hmimos.power import PowerAllocation
-from hmimos.precoding import PrecoderSet, two_layer_precoder
-
-
-def _identity_precoder_set(n=2):
-    eye = np.eye(n, dtype=complex)
-    return PrecoderSet(
-        first_layer=(eye, eye, eye),
-        second_layer=(eye, eye, eye),
-        effective=(eye.copy(), eye.copy(), eye.copy()),
-        row_slices=(slice(0, n),),
-        col_slices=((slice(0, n),), (slice(0, n),), (slice(0, n),)),
-    )
-
-
-def _unit_allocation(n=2):
-    ones = np.ones(n)
-    return PowerAllocation(scheme="test", q=np.ones(3), g=(ones, ones.copy(), ones.copy()))
-
-
-def test_sinr_perfect_bd_unit_signal():
-    pre = _identity_precoder_set()
-    pa = _unit_allocation()
-    assert sinr(pre, pa, 0.25, "x", 0, 0) == pytest.approx(4.0)
-
-
-def test_sinr_zero_power():
-    pre = _identity_precoder_set()
-    pa = PowerAllocation(scheme="test", q=np.zeros(3), g=(np.ones(2), np.ones(2), np.ones(2)))
-    assert sinr(pre, pa, 0.5, "x", 0, 0) == 0.0
-
-
-def test_sinr_matches_noise_only_after_bd():
-    channel = assemble_channel(two_user_scenario())
-    pre = two_layer_precoder(channel)
-    pa = PowerAllocation(
-        scheme="test",
-        q=np.ones(3),
-        g=tuple(np.ones(pre.effective[i].shape[1]) for i in range(3)),
-    )
-    sigma2 = 1e-3
-    for pol in "xyz":
-        s = pre.user_singulars(pol, 0)
-        got = sinr(pre, pa, sigma2, pol, 0, 0)
-        assert got == pytest.approx(s[0] ** 2 / sigma2, rel=1e-8)
 
 
 def test_spectral_efficiency_one_bit():

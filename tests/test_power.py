@@ -126,8 +126,8 @@ def test_pa2_uniform():
     for g in pa.g:
         assert g == pytest.approx(np.full(6, 1.0 / 6.0))
     # per-stream physical power = budget / (3 K nr_bar)
-    assert pa.stream_powers(0) == pytest.approx(np.full(6, 1.0 / 18.0))
-    assert pa.total == pytest.approx(1.0)
+    assert pa.q[0] * pa.g[0] == pytest.approx(np.full(6, 1.0 / 18.0))
+    assert pa.q.sum() == pytest.approx(1.0)
 
 
 def test_pa3_equal_norms_split_evenly():
@@ -152,7 +152,7 @@ def test_pa3_conservation():
             continue
         budget = float(rng.uniform(0.5, 4.0))
         pa = pa3_two_layer(spectra, budget, float(rng.uniform(0.05, 1.0)))
-        assert pa.total == pytest.approx(budget, rel=1e-9)
+        assert pa.q.sum() == pytest.approx(budget, rel=1e-9)
         for i in range(3):
             if pa.q[i] > 0 and np.any(spectra[i] > 0):
                 assert pa.g[i].sum() == pytest.approx(1.0, rel=1e-9)
@@ -165,11 +165,3 @@ def test_selection_always_loses_to_splitting_on_normalized_channels():
     lhs = np.log2(1.0 + q / s2)
     rhs = 3.0 * np.log2(1.0 + q / (3.0 * s2))
     assert np.all(lhs < rhs)
-
-
-def test_allocation_export_rows():
-    pa = pa3_two_layer(_spectra([2.0, 2.0, 2.0]), budget=1.0, sigma2=0.1)
-    rows = pa.export_rows()
-    assert len(rows) == sum(g.size for g in pa.g)
-    total = sum(power for _, _, _, _, power in rows)
-    assert total == pytest.approx(1.0, rel=1e-9)

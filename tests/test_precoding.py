@@ -8,11 +8,10 @@ from hmimos.geometry import Scenario, SurfaceSpec, UserPlacement
 from hmimos.numerics import svd_partition
 from hmimos.precoding import (
     bd_precoder,
-    cluster_subchannels,
+    cluster_link,
     cluster_users,
     cross_polar_residual,
     cross_polar_system,
-    effective_channel,
     gaussian_elim_precoder,
     two_layer_precoder,
 )
@@ -39,15 +38,6 @@ def test_cluster_users_permutation_invariant():
 def test_cluster_users_requires_multiple_of_three():
     with pytest.raises(ConfigError, match="divisible by 3"):
         cluster_users([1.0, 2.0, 3.0, 4.0])
-
-
-def test_cluster_selection_matrices():
-    assignment = cluster_users([1.0, 2.0, 3.0], nr_bar=2)
-    total = sum(assignment.selection)
-    assert np.allclose(total, np.eye(6))
-    for sel in assignment.selection:
-        assert set(np.unique(sel)) <= {0.0, 1.0}
-        assert np.count_nonzero(sel - np.diag(np.diag(sel))) == 0
 
 
 K3_PLACEMENTS = (((0.5, 0.3), 0.8), ((-0.6, 0.4), 1.2), ((0.2, -0.7), 1.6))
@@ -109,14 +99,20 @@ def _seed_pooled_singulars(channel, tol=1e-10):
 def test_cluster_subchannel_shapes_and_rows():
     scenario = _k3_scenario(n_side=4)
     channel = assemble_channel(scenario)
-    assignment = cluster_users([u.distance for u in scenario.users], nr_bar=4)
-    subs = cluster_subchannels(channel, assignment)
+    link = cluster_link(channel, [u.distance for u in scenario.users])
     covered = []
-    for pol, sub, members in zip("xyz", subs, assignment.subsets):
-        assert sub.shape == (4, 16)
-        h_qq = channel.block(pol, pol)
-        for i, user in enumerate(members):
-            assert np.array_equal(sub[4 * i : 4 * (i + 1)], h_qq[channel.user_rows(user)])
+    for i, (pol, members) in enumerate(zip(POLS, link.assignment.subsets)):
+        offset = 0
+        for user in members:
+            u, s, v = link.combiners[user], link.singulars[user], link.precoders[user]
+            assert link.pol_of_user[user] == i
+            assert link.stream_offsets[user] == offset
+            assert (u.shape, s.shape, v.shape) == ((4, 4), (4,), (16, 4))
+            # each user is served by the SVD of its own co-polarized rows
+            block = channel.block(pol, pol)[channel.user_rows(user)]
+            assert np.allclose((u * s) @ v.conj().T, block, atol=1e-14)
+            offset += s.size
+        assert np.array_equal(link.pooled_singulars(i), np.concatenate([link.singulars[k] for k in members]))
         covered.extend(members)
     assert sorted(covered) == [0, 1, 2]
 
@@ -227,21 +223,18 @@ def test_two_layer_at_scale_20x20_six_users():
 
 
 def test_effective_channel_block_diagonal():
+    # Receive polarization p sees the stacked first layer only through its
+    # co-polarized block, so the precoded channel is block diagonal over the
+    # polarizations with diagonal blocks pre.effective.
     channel = assemble_channel(two_user_scenario())
     pre = two_layer_precoder(channel)
-    full = effective_channel(channel, pre)
-    rows = [b.shape[0] for b in pre.effective]
-    cols = [b.shape[1] for b in pre.effective]
-    assert full.shape == (sum(rows), sum(cols))
-    # off blocks exactly zero by construction
-    assert np.count_nonzero(full[: rows[0], cols[0] :]) == 0
-    assert np.count_nonzero(full[rows[0] :, : cols[0]]) == 0
-    r0, c0 = 0, 0
-    for i, pol in enumerate("xyz"):
+    p_stack = np.vstack(pre.first_layer)
+    n_r = channel.n_rx
+    for i, pol in enumerate(POLS):
         direct = channel.block(pol, pol) @ pre.first_layer[i] @ pre.second_layer[i]
-        assert np.allclose(full[r0 : r0 + rows[i], c0 : c0 + cols[i]], direct, atol=1e-14)
-        r0 += rows[i]
-        c0 += cols[i]
+        assert np.allclose(pre.effective[i], direct, atol=1e-14)
+        received = channel.stacked()[i * n_r : (i + 1) * n_r] @ p_stack @ pre.second_layer[i]
+        assert np.linalg.norm(received - direct) <= 1e-10 * np.linalg.norm(direct)
 
 
 def test_user_singulars_match_recomputed_svd():
@@ -263,8 +256,9 @@ def test_per_user_cross_blocks_vanish():
             for k_tx in range(3):
                 if k_rx == k_tx:
                     continue
-                leak = pre.leakage_block(pol, k_rx, k_tx)
-                scale = np.linalg.norm(pre.effective["xyz".index(pol)])
+                i = "xyz".index(pol)
+                leak = pre.effective[i][pre.row_slices[k_rx], pre.col_slices[i][k_tx]]
+                scale = np.linalg.norm(pre.effective[i])
                 assert np.linalg.norm(leak) <= 1e-10 * max(scale, 1e-30)
 
 
@@ -276,17 +270,3 @@ def test_two_layer_precoder_deterministic():
         assert np.array_equal(a.first_layer[i], b.first_layer[i])
         assert np.array_equal(a.second_layer[i], b.second_layer[i])
         assert np.array_equal(a.effective[i], b.effective[i])
-
-
-def test_precoder_export_rows():
-    channel = assemble_channel(two_user_scenario())
-    pre = two_layer_precoder(channel)
-    rows = pre.export_rows()
-    expected = sum(
-        m.size for i in range(3) for m in (pre.first_layer[i], pre.second_layer[i])
-    )
-    assert len(rows) == expected
-    pol, layer, r, c, re, im = rows[0]
-    assert pol == "x" and layer == "P" and (r, c) == (1, 1)
-    assert re == pytest.approx(pre.first_layer[0][0, 0].real)
-    assert im == pytest.approx(pre.first_layer[0][0, 0].imag)
