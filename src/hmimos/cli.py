@@ -20,9 +20,12 @@ from .config import load_scenario
 from .csvio import write_csv
 from .errors import CapacityExceededError, ConfigError, GeometryError, PrecoderDegeneracyError
 from .experiments import (
+    CAPACITY_COLUMNS,
+    CORRELATION_COLUMNS,
     PA_NAMES,
     PRESETS,
     SCHEMES,
+    SE_COLUMNS,
     capacity_rows,
     channel_rows,
     correlation_rows,
@@ -31,6 +34,8 @@ from .experiments import (
     se_sweep,
 )
 from .numerics import DEFAULT_TOL
+
+MAX_SNR_POINTS = 10_000
 
 
 def _snr_numbers(text: str, parts) -> list[float]:
@@ -46,7 +51,7 @@ def _snr_numbers(text: str, parts) -> list[float]:
 def parse_snr_range(text: str) -> list[float]:
     """Parse 'start:step:stop' (dB) into a grid, or a comma list of values.
 
-    Every number must be finite.
+    Every number must be finite, and a grid has at most MAX_SNR_POINTS points.
     """
     if ":" in text:
         parts = text.split(":")
@@ -58,12 +63,13 @@ def parse_snr_range(text: str) -> list[float]:
         out = []
         v = start
         while v <= stop + 1e-9:
+            # Counted here: a step below the float resolution of v never advances v.
+            if len(out) == MAX_SNR_POINTS:
+                raise ConfigError(f"--snr grid has more than {MAX_SNR_POINTS} points, got {text!r}")
             out.append(round(v, 9))
             v += step
-        if not out:
-            raise ConfigError("--snr range is empty")
-        return out
-    out = _snr_numbers(text, [p for p in text.split(",") if p.strip()])
+    else:
+        out = _snr_numbers(text, [p for p in text.split(",") if p.strip()])
     if not out:
         raise ConfigError("--snr range is empty")
     return out
@@ -131,16 +137,14 @@ def run(args) -> list[Path]:
                           ("rx_pol", "tx_pol", "user", "rx_patch", "tx_patch", "re", "im"), rows)]
     if args.command == "correlation":
         rows = correlation_rows(scenario)
-        return [write_csv(out / "correlation.csv", cfg,
-                          ("user", "pol", "n", "l", "raw", "normalized"), rows)]
+        return [write_csv(out / "correlation.csv", cfg, ("user",) + CORRELATION_COLUMNS, rows)]
     if args.command == "dof":
         rows = dof_rows(scenario)
         return [write_csv(out / "dof.csv", cfg, ("user", "z", "dof"), rows)]
     if args.command == "capacity":
         snrs = parse_snr_range(args.snr)
         rows = capacity_rows(scenario, snrs)
-        return [write_csv(out / "capacity.csv", f"{cfg} snr={args.snr}",
-                          ("snr_db", "family", "capacity"), rows)]
+        return [write_csv(out / "capacity.csv", f"{cfg} snr={args.snr}", CAPACITY_COLUMNS, rows)]
     if args.command == "precode-sweep":
         snrs = parse_snr_range(args.snr)
         schemes = _csv_list(args.schemes)
@@ -148,7 +152,7 @@ def run(args) -> list[Path]:
         rows = se_sweep(scenario, schemes, pas, snrs, args.tol)
         return [write_csv(out / "precode_sweep.csv",
                           f"{cfg} snr={args.snr} schemes={args.schemes} pa={args.pa}",
-                          ("scheme", "pa", "snr_db", "spectral_efficiency"), rows)]
+                          SE_COLUMNS, rows)]
     raise ConfigError(f"unknown command {args.command!r}")
 
 

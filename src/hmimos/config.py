@@ -25,8 +25,10 @@ rectangle or circle; square needs nx == ny), ``nx``, ``ny``, ``dx``, ``dy``
 and ``total``; ``userN`` also takes ``z``, ``cx`` and ``cy``.  Circle
 layouts take ``total`` instead of ``nx``/``ny``.  There is no noise key:
 sweeps derive the noise power from their SNR axis and ``total_power``.
-Unknown keys, unknown layouts and non-finite numbers (``nan``, ``inf``) are
-refused with a :class:`ConfigError` naming the key.
+Unknown keys, surface keys that no surface reads (``tx.nx`` under a circle
+layout, ``rx.nx`` when every user sets its own), unknown layouts and
+non-finite numbers (``nan``, ``inf``) are refused with a
+:class:`ConfigError` naming the key.
 """
 
 from __future__ import annotations
@@ -76,11 +78,17 @@ def _get_number(kv, key, default=None, kind=float):
     return value
 
 
-def _surface(kv, prefix, fallback=None, center=(0.0, 0.0, 0.0), role="transmit") -> SurfaceSpec:
+def _surface(
+    kv, read, prefix, fallback=None, center=(0.0, 0.0, 0.0), role="transmit"
+) -> SurfaceSpec:
+    """The surface of section ``prefix``; adds every key it reads to the set ``read``."""
+
     def key_for(field):
         for head in (prefix, fallback):
-            if head is not None and f"{head}.{field}" in kv:
-                return f"{head}.{field}"
+            key = f"{head}.{field}"
+            if head is not None and key in kv:
+                read.add(key)
+                return key
         return None
 
     def pick(field, kind=float, default=None):
@@ -128,7 +136,8 @@ def scenario_from_keyvalues(kv: dict[str, str]) -> Scenario:
     _check_keys(kv)
     wavelength = _get_number(kv, "scenario.wavelength", 1.0)
     power = _get_number(kv, "scenario.total_power", 1.0)
-    tx = _surface(kv, "tx")
+    read: set[str] = set()
+    tx = _surface(kv, read, "tx")
 
     user_ids = sorted(
         {int(m.group(1)) for key in kv if (m := re.match(r"^user(\d+)\.", key))}
@@ -143,8 +152,11 @@ def scenario_from_keyvalues(kv: dict[str, str]) -> Scenario:
         z = _get_number(kv, f"user{uid}.z")
         cx = _get_number(kv, f"user{uid}.cx", 0.0)
         cy = _get_number(kv, f"user{uid}.cy", 0.0)
-        surf = _surface(kv, f"user{uid}", fallback="rx", center=(cx, cy, z), role="receive")
+        surf = _surface(kv, read, f"user{uid}", fallback="rx", center=(cx, cy, z), role="receive")
         users.append(UserPlacement(surface=surf, distance=z))
+    for key in kv:
+        if key.partition(".")[2] in _SURFACE_FIELDS and key not in read:
+            raise ConfigError(f"key {key}: not read by the chosen layout")
 
     try:
         return Scenario(wavelength=wavelength, transmit=tx, users=tuple(users), total_power=power)

@@ -69,20 +69,13 @@ def cluster_spectral_efficiency(channel: PolarizedChannel, link: ClusterLink, pa
     return total
 
 
-def _common_nr_bar(scenario: Scenario) -> int:
-    counts = {u.surface.count for u in scenario.users}
-    if len(counts) != 1:
-        raise ConfigError("user-cluster precoding needs a common per-user patch count")
-    return counts.pop()
-
-
 @dataclass(frozen=True)
 class SweepContext:
-    """Channel, precoders and normalized spectra shared by one sweep."""
+    """Channel, cluster link and normalized spectra shared by one sweep."""
 
     scenario: Scenario
     channel: PolarizedChannel  # rescaled
-    tl_spectra: tuple[np.ndarray, np.ndarray, np.ndarray]
+    spectra: dict[str, list[np.ndarray]]  # per scheme, one array per polarization
     link: ClusterLink | None
 
 
@@ -94,45 +87,29 @@ def prepare_sweep(scenario: Scenario, schemes=SCHEMES, tol: float = DEFAULT_TOL)
     sum2 = sum(float(np.sum(s**2)) for s in spectra)
     scale = math.sqrt(GAIN_HEADROOM * n_tot**2 / sum2)
     scaled = PolarizedChannel(blocks=channel.blocks * scale, user_offsets=channel.user_offsets)
+    by_scheme = {"two-layer": [s * scale for s in spectra]}
     link = None
     if "uc" in schemes:
-        _common_nr_bar(scenario)
         link = cluster_link(scaled, [u.distance for u in scenario.users])
-    return SweepContext(
-        scenario=scenario,
-        channel=scaled,
-        tl_spectra=tuple(s * scale for s in spectra),
-        link=link,
-    )
+        by_scheme["uc"] = [link.pooled_singulars(i) for i in range(3)]
+    return SweepContext(scenario=scenario, channel=scaled, spectra=by_scheme, link=link)
 
 
-def _allocate(pa_name: str, spectra, scenario: Scenario, sigma2: float):
-    budget = scenario.total_power
+def scheme_spectral_efficiency(ctx: SweepContext, scheme: str, pa_name: str, snr_db: float) -> float:
+    """SE of one sweep point; ``scheme`` and ``pa_name`` are names :func:`se_sweep` accepts."""
+    budget = ctx.scenario.total_power
+    sigma2 = budget / 10 ** (snr_db / 10.0)
+    spectra = ctx.spectra[scheme]
     squared = [s**2 for s in spectra]
     if pa_name == "pa1":
-        return pa1_select(squared, budget, sigma2)
-    if pa_name == "pa2":
-        nr_bar = _common_nr_bar(scenario)
-        return pa2_equal(scenario.n_users, nr_bar, budget, stream_counts=[s.size for s in spectra])
-    if pa_name == "pa3":
-        return pa3_two_layer(squared, budget, sigma2)
-    raise ConfigError(f"unknown power allocation {pa_name!r}")
-
-
-def scheme_spectral_efficiency(
-    ctx: SweepContext, scheme: str, pa_name: str, snr_db: float
-) -> float:
-    sigma2 = ctx.scenario.total_power / 10 ** (snr_db / 10.0)
+        pa = pa1_select(squared, budget, sigma2)
+    elif pa_name == "pa2":
+        pa = pa2_equal([s.size for s in spectra], budget)
+    else:
+        pa = pa3_two_layer(squared, budget, sigma2)
     if scheme == "two-layer":
-        pa = _allocate(pa_name, ctx.tl_spectra, ctx.scenario, sigma2)
-        return total_spectral_efficiency(ctx.tl_spectra, pa, sigma2)
-    if scheme == "uc":
-        if ctx.link is None:
-            raise ConfigError("sweep context was prepared without the uc scheme")
-        spectra = [ctx.link.pooled_singulars(i) for i in range(3)]
-        pa = _allocate(pa_name, spectra, ctx.scenario, sigma2)
-        return cluster_spectral_efficiency(ctx.channel, ctx.link, pa, sigma2)
-    raise ConfigError(f"unknown precoding scheme {scheme!r}")
+        return total_spectral_efficiency(spectra, pa, sigma2)
+    return cluster_spectral_efficiency(ctx.channel, ctx.link, pa, sigma2)
 
 
 def se_sweep(scenario: Scenario, schemes, pas, snrs_db, tol: float = DEFAULT_TOL):
@@ -143,8 +120,11 @@ def se_sweep(scenario: Scenario, schemes, pas, snrs_db, tol: float = DEFAULT_TOL
     for pa_name in pas:
         if pa_name not in PA_NAMES:
             raise ConfigError(f"unknown power allocation {pa_name!r}")
-    if "uc" in schemes and scenario.n_users % 3 != 0:
-        raise ConfigError("K must be divisible by 3 for user-cluster precoding")
+    if "uc" in schemes:
+        if scenario.n_users % 3 != 0:
+            raise ConfigError("K must be divisible by 3 for user-cluster precoding")
+        if len({u.surface.count for u in scenario.users}) != 1:
+            raise ConfigError("user-cluster precoding needs a common per-user patch count")
     ctx = prepare_sweep(scenario, schemes, tol)
     grid = [(scheme, pa, snr) for scheme in schemes for pa in pas for snr in snrs_db]
     values = parallel_map(lambda g: scheme_spectral_efficiency(ctx, *g), grid)
@@ -153,6 +133,12 @@ def se_sweep(scenario: Scenario, schemes, pas, snrs_db, tol: float = DEFAULT_TOL
 
 # ---------------------------------------------------------------------------
 # scenario subcommand pipelines
+
+CO_POLS = tuple(p + p for p in POLS)
+CORRELATION_COLUMNS = ("pol", "n", "l", "raw", "normalized")
+CAPACITY_COLUMNS = ("snr_db", "family", "capacity")
+SE_COLUMNS = ("scheme", "pa", "snr_db", "spectral_efficiency")
+
 
 def channel_rows(scenario: Scenario):
     channel = assemble_channel(scenario)
@@ -169,10 +155,10 @@ def channel_rows(scenario: Scenario):
     return rows
 
 
-def correlation_rows(scenario: Scenario, pols=("xx", "yy", "zz")):
+def correlation_rows(scenario: Scenario):
     rows = []
     for k, user in enumerate(scenario.users):
-        for pol in pols:
+        for pol in CO_POLS:
             cm = transmit_correlation(scenario.transmit, user.distance, scenario.k0, pol)
             norm = cm.normalized
             for n in range(cm.size):
@@ -196,218 +182,172 @@ def capacity_rows(scenario: Scenario, snrs_db):
         caps = capacity_families(channel, 10 ** (snr_db / 10.0))
         return [(snr_db, fam, caps[fam]) for fam in ("tp", "dp", "single")]
 
-    rows = []
-    for chunk in parallel_map(one, list(snrs_db)):
-        rows.extend(chunk)
-    return rows
+    return [row for chunk in parallel_map(one, list(snrs_db)) for row in chunk]
 
 
 # ---------------------------------------------------------------------------
 # figure presets
 
-def _line_surface(n: int, spacing: float) -> SurfaceSpec:
-    return SurfaceSpec.grid(n, 1, spacing)
+SNR_GRID = [float(s) for s in range(-10, 22, 2)]
+DOF_GRID = (36, 64, 100, 144, 196, 256, 300, 400, 600)
+SHAPE_GRID = (16, 64, 144, 256, 400)
+# Lateral offsets (wavelengths) of the SE presets' users, in user order.
+LATERALS = ((1.5, 0.5), (-1.2, 1.0), (0.3, -1.6), (-0.8, -1.2), (1.0, 1.4), (-1.6, 0.2))
 
 
-def _mirrored_scenario(tx: SurfaceSpec, z: float) -> Scenario:
-    rx = replace(tx, center=(0.0, 0.0, z), role="receive")
-    return Scenario(wavelength=1.0, transmit=tx, users=(UserPlacement(rx, z),))
-
-
-def _near_square_factors(n: int) -> tuple[int, int]:
-    best = (n, 1)
-    for a in range(1, int(math.isqrt(n)) + 1):
-        if n % a == 0:
-            best = (n // a, a)
-    return best
+def _facing(tx: SurfaceSpec, rx: SurfaceSpec, centers) -> Scenario:
+    """``tx`` with one user shaped like ``rx`` at each (cx, cy, z) of ``centers``."""
+    users = tuple(UserPlacement(replace(rx, center=c, role="receive"), c[2]) for c in centers)
+    return Scenario(wavelength=1.0, transmit=tx, users=users)
 
 
 def fixed_area_square(n: int, side: float) -> SurfaceSpec:
-    nx, ny = _near_square_factors(n)
+    """``n`` patches on a side x side square; nx >= ny is the factor pair closest to square."""
+    ny = max(a for a in range(1, math.isqrt(n) + 1) if n % a == 0)
+    nx = n // ny
     return SurfaceSpec.grid(nx, ny, side / nx, side / ny)
-
-
-def fig12_scenario(wavelength: float = 1.0) -> Scenario:
-    """Three users on a 225-patch transmitter, distances 1, 3 and 5 wavelengths."""
-    lam = wavelength
-    tx = SurfaceSpec.grid(15, 15, 0.4 * lam)
-    laterals = ((1.5, 0.5), (-1.2, 1.0), (0.3, -1.6))
-    users = tuple(
-        UserPlacement(
-            SurfaceSpec.grid(4, 3, 0.4 * lam, center=(cx * lam, cy * lam, z * lam), role="receive"),
-            z * lam,
-        )
-        for (cx, cy), z in zip(laterals, (1.0, 3.0, 5.0))
-    )
-    return Scenario(wavelength=lam, transmit=tx, users=users)
-
-
-def fig13_scenario(wavelength: float = 1.0) -> Scenario:
-    """Six users, distances 1..6 wavelengths, 6 receive patches each."""
-    lam = wavelength
-    tx = SurfaceSpec.grid(15, 15, 0.4 * lam)
-    laterals = ((1.5, 0.5), (-1.2, 1.0), (0.3, -1.6), (-0.8, -1.2), (1.0, 1.4), (-1.6, 0.2))
-    users = tuple(
-        UserPlacement(
-            SurfaceSpec.grid(3, 2, 0.4 * lam, center=(cx * lam, cy * lam, z * lam), role="receive"),
-            z * lam,
-        )
-        for (cx, cy), z in zip(laterals, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
-    )
-    return Scenario(wavelength=lam, transmit=tx, users=users)
 
 
 def shape_surfaces(n: int, area_side: float = 8.0) -> dict[str, SurfaceSpec]:
     """Equal-area shapes: square, inscribed circle, 16x4 and 32x2 rectangles."""
     shapes: dict[str, SurfaceSpec] = {}
-    side = int(round(math.sqrt(n)))
-    if side * side == n:
-        shapes["square"] = SurfaceSpec.grid(side, side, area_side / side)
-        radius = area_side / 2.0
-        shapes["circle"] = SurfaceSpec.circle(n, radius * math.sqrt(math.pi / n))
-    k4 = math.isqrt(n // 4)
-    if 4 * k4 * k4 == n:
-        shapes["rect16x4"] = SurfaceSpec.grid(4 * k4, k4, 2.0 * area_side / (4 * k4), 0.5 * area_side / k4)
-    k16 = math.isqrt(n // 16)
-    if 16 * k16 * k16 == n:
-        shapes["rect32x2"] = SurfaceSpec.grid(
-            16 * k16, k16, 4.0 * area_side / (16 * k16), 0.25 * area_side / k16
-        )
+    for aspect, name in ((1, "square"), (4, "rect16x4"), (16, "rect32x2")):
+        k = math.isqrt(n // aspect)
+        if aspect * k * k == n:
+            stretch = math.sqrt(aspect)
+            dx, dy = stretch * area_side / (aspect * k), area_side / (stretch * k)
+            shapes[name] = SurfaceSpec.grid(aspect * k, k, dx, dy)
+    if "square" in shapes:
+        shapes["circle"] = SurfaceSpec.circle(n, area_side / 2.0 * math.sqrt(math.pi / n))
     return shapes
 
 
-DOF_GRID = (36, 64, 100, 144, 196, 256, 300, 400, 600)
-SHAPE_GRID = (16, 64, 144, 256, 400)
+def _se_scenario(distances, nx: int, ny: int) -> Scenario:
+    """Users at ``distances`` with nx x ny receive grids, facing a 225-patch transmitter."""
+    centers = [(cx, cy, z) for (cx, cy), z in zip(LATERALS, distances)]
+    return _facing(SurfaceSpec.grid(15, 15, 0.4), SurfaceSpec.grid(nx, ny, 0.4), centers)
 
 
-def _preset_fig4(out_dir: Path):
+def fig12_scenario() -> Scenario:
+    """Three users on a 225-patch transmitter, distances 1, 3 and 5 wavelengths."""
+    return _se_scenario((1.0, 3.0, 5.0), 4, 3)
+
+
+def _fig9_scenario(z: float) -> Scenario:
+    return _facing(SurfaceSpec.grid(6, 6, 0.4), SurfaceSpec.grid(3, 3, 0.4), [(0.0, 0.0, z)])
+
+
+def _correlation_cut(cuts, pols):
+    """First-patch correlation of a 50-patch line for each (label, spacing, z) cut and pol."""
     rows = []
-    for spacing in (0.05, 0.2, 0.4):
-        cm = transmit_correlation(_line_surface(50, spacing), 0.3, 2.0 * math.pi, "xx")
-        for n in range(50):
-            rows.append((spacing, "xx", 1, n + 1, float(cm.raw[0, n]), float(cm.normalized[0, n])))
-    cfg = "preset=fig4 wavelength=1 ns=50 layout=line z=0.3 spacings=0.05|0.2|0.4 pol=xx"
-    return [write_csv(out_dir / "fig4_correlation_vs_spacing.csv", cfg,
-                      ("spacing", "pol", "n", "l", "raw", "normalized"), rows)]
-
-
-def _preset_fig5(out_dir: Path):
-    rows = []
-    for z in (0.2, 0.4, 0.8):
-        cm = transmit_correlation(_line_surface(50, 0.1), z, 2.0 * math.pi, "xx")
-        for n in range(50):
-            rows.append((z, "xx", 1, n + 1, float(cm.raw[0, n]), float(cm.normalized[0, n])))
-    cfg = "preset=fig5 wavelength=1 ns=50 layout=line spacing=0.1 z=0.2|0.4|0.8 pol=xx"
-    return [write_csv(out_dir / "fig5_correlation_vs_distance.csv", cfg,
-                      ("z", "pol", "n", "l", "raw", "normalized"), rows)]
-
-
-def _preset_fig6(out_dir: Path):
-    rows = []
-    for z in (0.1, 0.2, 0.4):
-        for pol in POLS:
-            cm = transmit_correlation(_line_surface(50, 0.4), z, 2.0 * math.pi, pol + pol)
+    for label, spacing, z in cuts:
+        for pol in pols:
+            cm = transmit_correlation(SurfaceSpec.grid(50, 1, spacing), z, 2.0 * math.pi, pol)
+            norm = cm.normalized
             for n in range(50):
-                rows.append((z, pol + pol, 1, n + 1, float(cm.raw[0, n]), float(cm.normalized[0, n])))
-    cfg = "preset=fig6 wavelength=1 ns=50 layout=line spacing=0.4 z=0.1|0.2|0.4 pols=xx|yy|zz"
-    return [write_csv(out_dir / "fig6_copolarized_correlation.csv", cfg,
-                      ("z", "pol", "n", "l", "raw", "normalized"), rows)]
+                rows.append((label, pol, 1, n + 1, float(cm.raw[0, n]), float(norm[0, n])))
+    return rows
 
 
-def _eigen_preset(out_dir: Path, name: str, z: float):
+def _eigen_rows(z: float):
+    """Eigenvalues of the nine blocks of a mirrored 15x15 surface pair ``z`` apart."""
     tx = SurfaceSpec.grid(15, 15, 0.4)
-    scenario = _mirrored_scenario(tx, z)
-    channel = assemble_channel(scenario)
-    rows = []
-    for p in POLS:
-        for q in POLS:
-            eigs = eigen_spectrum(channel.block(p, q))
-            for i, val in enumerate(eigs):
-                rows.append((p, q, i + 1, float(val)))
-    cfg = f"preset={name} wavelength=1 ns=225 nr=225 spacing=0.4 z={z:g}"
-    return [write_csv(out_dir / f"{name}_eigenvalues.csv", cfg,
-                      ("rx_pol", "tx_pol", "index", "eigenvalue"), rows)]
+    channel = assemble_channel(_facing(tx, tx, [(0.0, 0.0, z)]))
+    return [
+        (p, q, i + 1, float(val))
+        for p in POLS
+        for q in POLS
+        for i, val in enumerate(eigen_spectrum(channel.block(p, q)))
+    ]
 
 
-def _preset_fig9(out_dir: Path):
-    tx = SurfaceSpec.grid(6, 6, 0.4)
-
-    def scenario_at(z):
-        rx = SurfaceSpec.grid(3, 3, 0.4, center=(0.0, 0.0, z), role="receive")
-        return Scenario(wavelength=1.0, transmit=tx, users=(UserPlacement(rx, z),))
-
-    snrs = [float(s) for s in range(-10, 22, 2)]
-    rows_a = capacity_rows(scenario_at(0.5), snrs)
-    cfg_a = "preset=fig9a wavelength=1 ns=36 nr=9 spacing=0.4 z=0.5 snr=-10:2:20"
-    path_a = write_csv(out_dir / "fig9a_capacity_vs_snr.csv", cfg_a,
-                       ("snr_db", "family", "capacity"), rows_a)
-
-    zs = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
-
-    def caps_at(z):
-        caps = capacity_families(assemble_channel(scenario_at(z)), 10.0)
-        return [(z, fam, caps[fam]) for fam in ("tp", "dp", "single")]
-
-    rows_b = []
-    for chunk in parallel_map(caps_at, zs):
-        rows_b.extend(chunk)
-    cfg_b = "preset=fig9b wavelength=1 ns=36 nr=9 spacing=0.4 snr_db=10 z=0.5:0.5:4"
-    path_b = write_csv(out_dir / "fig9b_capacity_vs_distance.csv", cfg_b,
-                       ("z", "family", "capacity"), rows_b)
-    return [path_a, path_b]
+def _mirrored_dof(item):
+    """Row (label, patch count, DoF) of a (label, surface, z) facing its mirror image."""
+    label, spec, z = item
+    channel = assemble_channel(_facing(spec, spec, [(0.0, 0.0, z)]))
+    return (label, spec.count, channel_dof(channel.stacked()))
 
 
-def _preset_fig10(out_dir: Path):
-    grid = [(z, n) for z in (5.0, 7.0, 9.0) for n in DOF_GRID]
-
-    def one(item):
-        z, n = item
-        scenario = _mirrored_scenario(fixed_area_square(n, 10.0), z)
-        return (z, n, channel_dof(assemble_channel(scenario).stacked()))
-
-    rows = parallel_map(one, grid)
-    cfg = "preset=fig10 wavelength=1 area=100 shape=square z=5|7|9 dof=channel-gram rx=mirrored"
-    return [write_csv(out_dir / "fig10_dof_vs_antennas.csv", cfg, ("z", "n_tx", "dof"), rows)]
+def _capacity_vs_distance(zs, snr_db: float):
+    return [(z, fam, cap) for z in zs for _, fam, cap in capacity_rows(_fig9_scenario(z), [snr_db])]
 
 
-def _preset_fig11(out_dir: Path):
-    grid = []
-    for n in SHAPE_GRID:
-        for shape, spec in sorted(shape_surfaces(n).items()):
-            grid.append((shape, n, spec))
-
-    def one(item):
-        shape, n, spec = item
-        scenario = _mirrored_scenario(spec, 5.0)
-        return (shape, n, channel_dof(assemble_channel(scenario).stacked()))
-
-    rows = parallel_map(one, grid)
-    cfg = "preset=fig11 wavelength=1 area=64 z=5 shapes=square|circle|rect16x4|rect32x2 dof=channel-gram rx=mirrored"
-    return [write_csv(out_dir / "fig11_dof_vs_shape.csv", cfg, ("shape", "n_tx", "dof"), rows)]
-
-
-def _se_preset(out_dir: Path, name: str, scenario: Scenario):
-    snrs = [float(s) for s in range(-10, 22, 2)]
-    rows = se_sweep(scenario, SCHEMES, PA_NAMES, snrs)
-    cfg = (
-        f"preset={name} wavelength=1 ns=225 k={scenario.n_users} "
-        f"nr_bar={scenario.users[0].surface.count} snr=-10:2:20 headroom={GAIN_HEADROOM:g}"
+def _eigen_file(name: str, z: float):
+    return (
+        f"{name}_eigenvalues.csv",
+        f"preset={name} wavelength=1 ns=225 nr=225 spacing=0.4 z={z:g}",
+        ("rx_pol", "tx_pol", "index", "eigenvalue"),
+        lambda: _eigen_rows(z),
     )
-    return [write_csv(out_dir / f"{name}_spectral_efficiency.csv", cfg,
-                      ("scheme", "pa", "snr_db", "spectral_efficiency"), rows)]
 
 
+def _se_file(name: str, scenario: Scenario):
+    return (
+        f"{name}_spectral_efficiency.csv",
+        f"preset={name} wavelength=1 ns=225 k={scenario.n_users} "
+        f"nr_bar={scenario.users[0].surface.count} snr=-10:2:20 headroom={GAIN_HEADROOM:g}",
+        SE_COLUMNS,
+        lambda: se_sweep(scenario, SCHEMES, PA_NAMES, SNR_GRID),
+    )
+
+
+# Each preset writes a list of (file name, config line, columns, rows thunk).
 PRESETS = {
-    "fig4": _preset_fig4,
-    "fig5": _preset_fig5,
-    "fig6": _preset_fig6,
-    "fig7": lambda out: _eigen_preset(out, "fig7", 1.0),
-    "fig8": lambda out: _eigen_preset(out, "fig8", 3.0),
-    "fig9": _preset_fig9,
-    "fig10": _preset_fig10,
-    "fig11": _preset_fig11,
-    "fig12": lambda out: _se_preset(out, "fig12", fig12_scenario()),
-    "fig13": lambda out: _se_preset(out, "fig13", fig13_scenario()),
+    "fig4": [(
+        "fig4_correlation_vs_spacing.csv",
+        "preset=fig4 wavelength=1 ns=50 layout=line z=0.3 spacings=0.05|0.2|0.4 pol=xx",
+        ("spacing",) + CORRELATION_COLUMNS,
+        lambda: _correlation_cut([(s, s, 0.3) for s in (0.05, 0.2, 0.4)], ("xx",)),
+    )],
+    "fig5": [(
+        "fig5_correlation_vs_distance.csv",
+        "preset=fig5 wavelength=1 ns=50 layout=line spacing=0.1 z=0.2|0.4|0.8 pol=xx",
+        ("z",) + CORRELATION_COLUMNS,
+        lambda: _correlation_cut([(z, 0.1, z) for z in (0.2, 0.4, 0.8)], ("xx",)),
+    )],
+    "fig6": [(
+        "fig6_copolarized_correlation.csv",
+        "preset=fig6 wavelength=1 ns=50 layout=line spacing=0.4 z=0.1|0.2|0.4 pols=xx|yy|zz",
+        ("z",) + CORRELATION_COLUMNS,
+        lambda: _correlation_cut([(z, 0.4, z) for z in (0.1, 0.2, 0.4)], CO_POLS),
+    )],
+    "fig7": [_eigen_file("fig7", 1.0)],
+    "fig8": [_eigen_file("fig8", 3.0)],
+    "fig9": [
+        (
+            "fig9a_capacity_vs_snr.csv",
+            "preset=fig9a wavelength=1 ns=36 nr=9 spacing=0.4 z=0.5 snr=-10:2:20",
+            CAPACITY_COLUMNS,
+            lambda: capacity_rows(_fig9_scenario(0.5), SNR_GRID),
+        ),
+        (
+            "fig9b_capacity_vs_distance.csv",
+            "preset=fig9b wavelength=1 ns=36 nr=9 spacing=0.4 snr_db=10 z=0.5:0.5:4",
+            ("z",) + CAPACITY_COLUMNS[1:],
+            lambda: _capacity_vs_distance([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0], 10.0),
+        ),
+    ],
+    "fig10": [(
+        "fig10_dof_vs_antennas.csv",
+        "preset=fig10 wavelength=1 area=100 shape=square z=5|7|9 dof=channel-gram rx=mirrored",
+        ("z", "n_tx", "dof"),
+        lambda: parallel_map(_mirrored_dof, [
+            (z, fixed_area_square(n, 10.0), z) for z in (5.0, 7.0, 9.0) for n in DOF_GRID
+        ]),
+    )],
+    "fig11": [(
+        "fig11_dof_vs_shape.csv",
+        "preset=fig11 wavelength=1 area=64 z=5 shapes=square|circle|rect16x4|rect32x2 "
+        "dof=channel-gram rx=mirrored",
+        ("shape", "n_tx", "dof"),
+        lambda: parallel_map(_mirrored_dof, [
+            (shape, spec, 5.0)
+            for n in SHAPE_GRID
+            for shape, spec in sorted(shape_surfaces(n).items())
+        ]),
+    )],
+    "fig12": [_se_file("fig12", fig12_scenario())],
+    "fig13": [_se_file("fig13", _se_scenario((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), 3, 2))],
 }
 
 
@@ -415,4 +355,7 @@ def figure_preset(name: str, out_dir) -> list[Path]:
     """Write the CSV artifacts for one named figure preset."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r} (known: {', '.join(sorted(PRESETS))})")
-    return PRESETS[name](Path(out_dir))
+    return [
+        write_csv(Path(out_dir) / file, config, columns, rows())
+        for file, config, columns, rows in PRESETS[name]
+    ]

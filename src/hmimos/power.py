@@ -94,18 +94,14 @@ def pa1_select(spectra, budget: float = 1.0, sigma2: float = 1.0) -> PowerAlloca
     return PowerAllocation(q=q, g=g)
 
 
-def pa2_equal(n_users: int, nr_bar: int, budget: float = 1.0, stream_counts=None) -> PowerAllocation:
-    """Equal split: budget / 3 per polarization, uniform over streams.
+def pa2_equal(stream_counts, budget: float = 1.0) -> PowerAllocation:
+    """Equal split: budget / 3 per polarization, uniform over its streams.
 
-    By default each polarization carries ``n_users * nr_bar`` stream slots;
-    ``stream_counts`` overrides the per-polarization counts when the
-    effective channels carry fewer streams.
+    ``stream_counts`` holds the stream count of each of the three effective
+    channels; a polarization without streams gets empty shares.
     """
-    if n_users < 1 or nr_bar < 1:
-        raise ValueError("user and stream counts must be positive")
-    counts = tuple(stream_counts) if stream_counts is not None else (n_users * nr_bar,) * 3
     q = np.full(3, budget / 3.0)
-    g = tuple(np.full(c, 1.0 / c) if c > 0 else np.zeros(0) for c in counts)
+    g = tuple(np.full(c, 1.0 / c) if c > 0 else np.zeros(0) for c in stream_counts)
     return PowerAllocation(q=q, g=g)
 
 

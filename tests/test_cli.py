@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hmimos.cli import main, parse_snr_range
+from hmimos.cli import MAX_SNR_POINTS, main, parse_snr_range
 from hmimos.config import load_scenario, parse_keyvalues, scenario_from_keyvalues
 from hmimos.errors import ConfigError
 
@@ -96,6 +96,23 @@ def test_precode_sweep_grid_contract(tmp_path):
     assert len(keys) == 24
 
 
+def test_two_layer_pa2_accepts_mixed_patch_counts(tmp_path):
+    scenario = write(tmp_path, "mixed.cfg", K2_SCENARIO + "user2.nx = 1\n")
+    argv = ["precode-sweep", "--scenario", str(scenario), "--out", str(tmp_path)]
+    assert main(argv + ["--schemes", "two-layer", "--pa", "pa2"]) == 0
+    _, rows = read_rows(tmp_path / "precode_sweep.csv")
+    assert len(rows) == 16
+    assert all(float(r[3]) > 0 for r in rows)
+
+
+def test_cluster_scheme_requires_common_patch_count(tmp_path, capsys):
+    scenario = write(tmp_path, "mixed.cfg", K3_SCENARIO + "user3.nx = 2\n")
+    argv = ["precode-sweep", "--scenario", str(scenario), "--out", str(tmp_path)]
+    assert main(argv + ["--schemes", "uc"]) == 2
+    assert "common per-user patch count" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cluster_scheme_requires_k_multiple_of_three(tmp_path, capsys):
     text = K2_SCENARIO + "user3.z = 2.0\nuser4.z = 2.4\nuser4.cx = 0.8\n"
     text = text.replace("user3.z = 2.0", "user3.z = 2.0\nuser3.cx = 0.3\nuser3.cy = 0.9")
@@ -183,6 +200,10 @@ def test_parse_snr_range():
         parse_snr_range("0:0:10")
     with pytest.raises(ConfigError):
         parse_snr_range("a:b:c")
+    assert len(parse_snr_range("0:1:9999")) == MAX_SNR_POINTS
+    for text in ("0:1:10000", "0:1e-5:10", "-1e308:1e-300:1e308", "1e16:1:1e16"):
+        with pytest.raises(ConfigError, match=f"--snr grid has more than {MAX_SNR_POINTS} points"):
+            parse_snr_range(text)
 
 
 def test_config_parse_errors():
@@ -211,17 +232,28 @@ def test_load_scenario_roundtrip(tmp_path):
 
 def test_preset_grid_contracts(tmp_path):
     assert main(["preset", "--preset", "fig4", "--out", str(tmp_path)]) == 0
-    _, rows = read_rows(tmp_path / "fig4_correlation_vs_spacing.csv")
+    header, rows = read_rows(tmp_path / "fig4_correlation_vs_spacing.csv")
+    assert header == ["spacing", "pol", "n", "l", "raw", "normalized"]
     assert len(rows) == 3 * 50  # three spacings, fifty patches
     assert {r[0] for r in rows} == {"0.050000000000000003", "0.20000000000000001", "0.40000000000000002"}
 
+    assert main(["preset", "--preset", "fig9", "--out", str(tmp_path)]) == 0
+    header, rows = read_rows(tmp_path / "fig9a_capacity_vs_snr.csv")
+    assert header == ["snr_db", "family", "capacity"]
+    assert len(rows) == 16 * 3  # snr grid x families
+    header, rows = read_rows(tmp_path / "fig9b_capacity_vs_distance.csv")
+    assert header == ["z", "family", "capacity"]
+    assert len(rows) == 8 * 3  # distances x families
+
     assert main(["preset", "--preset", "fig10", "--out", str(tmp_path)]) == 0
-    _, rows = read_rows(tmp_path / "fig10_dof_vs_antennas.csv")
+    header, rows = read_rows(tmp_path / "fig10_dof_vs_antennas.csv")
+    assert header == ["z", "n_tx", "dof"]
     assert len(rows) == 3 * 9  # three distances, nine element counts
     assert {r[0] for r in rows} == {"5", "7", "9"}
 
     assert main(["preset", "--preset", "fig13", "--out", str(tmp_path)]) == 0
-    _, rows = read_rows(tmp_path / "fig13_spectral_efficiency.csv")
+    header, rows = read_rows(tmp_path / "fig13_spectral_efficiency.csv")
+    assert header == ["scheme", "pa", "snr_db", "spectral_efficiency"]
     assert len(rows) == 2 * 3 * 16  # schemes x allocations x snr grid
 
 
@@ -266,6 +298,14 @@ def test_non_finite_snr_exits_two(tmp_path, capsys, command, snr):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_oversized_snr_grid_exits_two(tmp_path, capsys):
+    scenario = write(tmp_path, "k3.cfg", K3_SCENARIO)
+    argv = ["precode-sweep", "--scenario", str(scenario), "--out", str(tmp_path)]
+    assert main(argv + ["--snr", "0:1e-5:10"]) == 2
+    assert "--snr grid has more than" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def _edited(text, line):
     """``text`` with the line of ``line``'s key replaced by ``line``, or with it appended."""
     key = line.split(" =")[0]
@@ -278,7 +318,7 @@ def _edited(text, line):
 
 
 @pytest.mark.parametrize(
-    "line, message",
+    "lines, message",
     [
         ("tx.layout = hexagon", "key tx.layout: expected one of square, rectangle, circle"),
         ("tx.ny = 5", "key tx.layout: square layout needs nx == ny, got 4 x 5"),
@@ -287,11 +327,27 @@ def _edited(text, line):
         ("rx.foo = 3", "unknown configuration key 'rx.foo'"),
         ("rx.z = 2.0", "unknown configuration key 'rx.z'"),
         ("scenario.noise_power = 1", "unknown configuration key 'scenario.noise_power'"),
+        (
+            "tx.layout = circle\ntx.total = 12\ntx.nx = 99",
+            "key tx.nx: not read by the chosen layout",
+        ),
+        ("tx.total = 16", "key tx.total: not read by the chosen layout"),
+        ("user1.total = 4", "key user1.total: not read by the chosen layout"),
+        (
+            "user1.layout = circle\nuser1.total = 4\nuser2.layout = circle\nuser2.total = 4",
+            "key rx.nx: not read by the chosen layout",
+        ),
     ],
-    ids=["hexagon", "square-nx-ne-ny", "user-foo", "tx-foo", "rx-foo", "rx-z", "noise-power"],
+    ids=[
+        "hexagon", "square-nx-ne-ny", "user-foo", "tx-foo", "rx-foo", "rx-z", "noise-power",
+        "circle-nx", "grid-total", "user-grid-total", "rx-nx-all-circles",
+    ],
 )
-def test_lax_scenario_key_exits_two(tmp_path, capsys, line, message):
-    scenario = write(tmp_path, "bad.cfg", _edited(K2_SCENARIO, line))
+def test_lax_scenario_key_exits_two(tmp_path, capsys, lines, message):
+    text = K2_SCENARIO
+    for line in lines.split("\n"):
+        text = _edited(text, line)
+    scenario = write(tmp_path, "bad.cfg", text)
     assert main(["dof", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))

@@ -121,13 +121,19 @@ def test_pa1_tie_break_prefers_x():
 
 
 def test_pa2_uniform():
-    pa = pa2_equal(2, 3, budget=1.0)
+    # K = 2 users with nr_bar = 3 streams each per polarization
+    pa = pa2_equal([6, 6, 6], budget=1.0)
     assert pa.q == pytest.approx([1 / 3] * 3)
     for g in pa.g:
         assert g == pytest.approx(np.full(6, 1.0 / 6.0))
     # per-stream physical power = budget / (3 K nr_bar)
     assert pa.q[0] * pa.g[0] == pytest.approx(np.full(6, 1.0 / 18.0))
     assert pa.q.sum() == pytest.approx(1.0)
+    uneven = pa2_equal([4, 0, 2], budget=3.0)
+    assert uneven.q == pytest.approx([1.0, 1.0, 1.0])
+    assert [g.size for g in uneven.g] == [4, 0, 2]
+    assert uneven.g[0] == pytest.approx(np.full(4, 0.25))
+    assert uneven.g[2] == pytest.approx(np.full(2, 0.5))
 
 
 def test_pa3_equal_norms_split_evenly():
