@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,14 @@ CAPACITY_COLUMNS = ("snr_db", "family", "capacity")
 SE_COLUMNS = ("scheme", "pa", "snr_db", "spectral_efficiency")
 
 
+def _entry_indices(n_rows: int, n_cols: int):
+    """1-based (row, column) index lists of a row-major raveled n_rows x n_cols matrix."""
+    return (
+        [m for m in range(1, n_rows + 1) for _ in range(n_cols)],
+        list(range(1, n_cols + 1)) * n_rows,
+    )
+
+
 def channel_rows(scenario: Scenario):
     channel = assemble_channel(scenario)
     rows = []
@@ -148,10 +157,9 @@ def channel_rows(scenario: Scenario):
             block = channel.block(p, q)
             for k in range(channel.n_users):
                 sub = block[channel.user_rows(k)]
-                for m in range(sub.shape[0]):
-                    for n in range(sub.shape[1]):
-                        v = sub[m, n]
-                        rows.append((p, q, k + 1, m + 1, n + 1, float(v.real), float(v.imag)))
+                ms, ns = _entry_indices(*sub.shape)
+                rows.extend(zip(repeat(p), repeat(q), repeat(k + 1), ms, ns,
+                                sub.real.ravel().tolist(), sub.imag.ravel().tolist()))
     return rows
 
 
@@ -160,10 +168,9 @@ def correlation_rows(scenario: Scenario):
     for k, user in enumerate(scenario.users):
         for pol in CO_POLS:
             cm = transmit_correlation(scenario.transmit, user.distance, scenario.k0, pol)
-            norm = cm.normalized
-            for n in range(cm.size):
-                for l in range(cm.size):
-                    rows.append((k + 1, pol, n + 1, l + 1, float(cm.raw[n, l]), float(norm[n, l])))
+            ns, ls = _entry_indices(cm.size, cm.size)
+            rows.extend(zip(repeat(k + 1), repeat(pol), ns, ls,
+                            cm.raw.ravel().tolist(), cm.normalized.ravel().tolist()))
     return rows
 
 
@@ -243,9 +250,8 @@ def _correlation_cut(cuts, pols):
     for label, spacing, z in cuts:
         for pol in pols:
             cm = transmit_correlation(SurfaceSpec.grid(50, 1, spacing), z, 2.0 * math.pi, pol)
-            norm = cm.normalized
-            for n in range(50):
-                rows.append((label, pol, 1, n + 1, float(cm.raw[0, n]), float(norm[0, n])))
+            rows.extend(zip(repeat(label), repeat(pol), repeat(1), range(1, 51),
+                            cm.raw[0].tolist(), cm.normalized[0].tolist()))
     return rows
 
 

@@ -17,6 +17,13 @@ from .errors import GeometryError
 LAYOUTS = ("square", "rectangle", "circle")
 
 
+def _require_finite(**fields) -> None:
+    """Refuse NaN and infinities, naming the field; the range checks miss them."""
+    for name, value in fields.items():
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise GeometryError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SurfaceSpec:
     """Geometry of one holographic surface (a grid of patch antennas)."""
@@ -33,6 +40,7 @@ class SurfaceSpec:
     def __post_init__(self):
         if self.layout not in LAYOUTS:
             raise GeometryError(f"unknown layout {self.layout!r}")
+        _require_finite(dx=self.dx, dy=self.dy, center=self.center)
         if self.dx <= 0 or self.dy <= 0:
             raise GeometryError("patch spacing must be positive")
         if self.layout == "circle":
@@ -68,6 +76,7 @@ class UserPlacement:
     distance: float
 
     def __post_init__(self):
+        _require_finite(distance=self.distance)
         if self.distance <= 0:
             raise GeometryError("user distance must be positive")
 
@@ -82,6 +91,7 @@ class Scenario:
     total_power: float = 1.0
 
     def __post_init__(self):
+        _require_finite(wavelength=self.wavelength, total_power=self.total_power)
         if self.wavelength <= 0:
             raise GeometryError("wavelength must be positive")
         if not self.users:

@@ -1,0 +1,118 @@
+"""The chunked, memoized CSV writer against the row-by-row writer it replaced."""
+
+import math
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hmimos import csvio
+from hmimos.csvio import CHUNK_ROWS, fmt, write_csv
+
+
+def oracle_write(path, config, columns, rows):
+    """The original writer: one ``fmt`` call per value, the whole text at once."""
+    lines = [f"# {config}", ",".join(columns)]
+    for row in rows:
+        lines.append(",".join(fmt(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def assert_same_bytes(tmp_path, rows, columns=None):
+    columns = columns or [f"c{j}" for j in range(len(rows[0]) if rows else 2)]
+    got = write_csv(tmp_path / "got" / "t.csv", "cfg a=1", columns, rows)
+    want = oracle_write(tmp_path / "want.csv", "cfg a=1", columns, rows)
+    assert got.read_bytes() == want.read_bytes()
+    assert sorted(p.name for p in got.parent.iterdir()) == ["t.csv"]
+
+
+# Floats a value-keyed memo gets wrong (0.0 == -0.0, NaN equal to nothing),
+# and values that compare equal across types but print differently.
+FLOAT_EDGES = st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 1e17, 1.0]
+)
+EQUAL_ACROSS_TYPES = st.sampled_from(
+    [10**17, 1e17, 1, 1.0, True, 0, 0.0, -0.0, False, np.float64(-0.0), np.float64(1e17)]
+)
+# Column pools whose values a memo keyed on value alone would merge although
+# fmt prints them differently.
+CLASHING_POOLS = st.sampled_from(
+    [[0.0, -0.0], [-0.0, 1.5, 0.0], [10**17, 1e17], [2**60, float(2**60)],
+     [-(2**70), float(-(2**70))], [10**22, 1e22], [math.nan, 0.25]]
+)
+VALUE_KINDS = [
+    st.floats(allow_subnormal=True),
+    st.integers(),
+    st.booleans(),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=5),
+    st.floats().map(np.float64),
+    FLOAT_EDGES,
+    EQUAL_ACROSS_TYPES,
+]
+
+
+@st.composite
+def tables(draw):
+    """Rows whose columns each draw from a small pool, so values repeat."""
+    width = draw(st.integers(1, 4))
+    pool_strategy = st.one_of(
+        [st.lists(kind, min_size=1, max_size=6) for kind in VALUE_KINDS + [st.one_of(VALUE_KINDS)]]
+        + [CLASHING_POOLS]
+    )
+    pools = [draw(pool_strategy) for _ in range(width)]
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        # Runs of one row give chunks whose columns hold a single type.
+        row = tuple(draw(st.sampled_from(pool)) for pool in pools)
+        rows += [row] * draw(st.integers(1, 4))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=tables(), chunk=st.integers(1, 8))
+def test_bytes_match_the_row_by_row_writer(tmp_path_factory, rows, chunk):
+    tmp_path = tmp_path_factory.mktemp("csv")
+    with patch.object(csvio, "CHUNK_ROWS", chunk):
+        assert_same_bytes(tmp_path, rows)
+
+
+def test_equal_values_of_different_types_keep_their_own_text(tmp_path):
+    # One chunk of ints, then one of floats: the column memo must not let 1e17
+    # reuse the text of 10**17, nor -0.0 that of 0.0.
+    rows = ([(10**17, 1, 0.0)] * CHUNK_ROWS + [(1e17, 1.0, -0.0)] * CHUNK_ROWS
+            + [(10**17, True, 0.0), (1e17, 1, -0.0)])
+    assert_same_bytes(tmp_path, rows)
+    text = (tmp_path / "got" / "t.csv").read_text().splitlines()
+    assert text[2] == "100000000000000000,1,0"
+    assert text[2 + CHUNK_ROWS] == "1e+17,1,-0"
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1])
+def test_chunk_boundaries(tmp_path, n_rows):
+    rows = [
+        (i % 3 + 1, "xx" if i % 2 else "zz", i // 7, math.cos(i % 50) * 1e-3, -0.0 if i % 11 else 0.0)
+        for i in range(n_rows)
+    ]
+    assert_same_bytes(tmp_path, rows, columns=["user", "pol", "n", "raw", "zero"])
+
+
+def test_ragged_rows(tmp_path):
+    assert_same_bytes(tmp_path, [(1.5, 2), (3,), (), ("a", 0.25, -0.0)], columns=["a", "b"])
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    rows = [(0.5, 1)] * CHUNK_ROWS + [(0.5, 1), (1j, 2)]
+    with pytest.raises(TypeError, match="complex"):
+        write_csv(tmp_path / "out.csv", "cfg", ["a", "b"], rows)
+    assert list(tmp_path.iterdir()) == []
+
+    # An earlier file at the same path is left as it was.
+    old = oracle_write(tmp_path / "out.csv", "old", ["a"], [(1,)])
+    before = old.read_bytes()
+    with pytest.raises(TypeError):
+        write_csv(old, "cfg", ["a", "b"], rows)
+    assert old.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

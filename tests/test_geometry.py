@@ -130,3 +130,30 @@ def test_spec_validation_errors():
         Scenario(wavelength=0.0, transmit=tx, users=(UserPlacement(SurfaceSpec.grid(1, 1, 0.4), 1.0),))
     with pytest.raises(GeometryError):
         Scenario(wavelength=1.0, transmit=tx, users=())
+
+
+def _one_user():
+    return (UserPlacement(SurfaceSpec.grid(1, 1, 0.4), 1.0),)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: SurfaceSpec.grid(3, 3, math.nan), "dx"),
+        (lambda: SurfaceSpec.grid(3, 3, math.inf), "dx"),
+        (lambda: SurfaceSpec.grid(3, 3, 0.4, -math.inf), "dy"),
+        (lambda: SurfaceSpec.circle(5, 0.4, center=(math.nan, 0.0, 1.0)), "center"),
+        (lambda: SurfaceSpec.grid(3, 3, 0.4, center=(0.0, 0.0, math.inf)), "center"),
+        (lambda: UserPlacement(SurfaceSpec.grid(1, 1, 0.4), distance=math.inf), "distance"),
+        (lambda: UserPlacement(SurfaceSpec.grid(1, 1, 0.4), distance=math.nan), "distance"),
+        (lambda: Scenario(math.nan, SurfaceSpec.grid(2, 2, 0.4), _one_user()), "wavelength"),
+        (lambda: Scenario(math.inf, SurfaceSpec.grid(2, 2, 0.4), _one_user()), "wavelength"),
+        (lambda: Scenario(1.0, SurfaceSpec.grid(2, 2, 0.4), _one_user(), total_power=math.inf),
+         "total_power"),
+        (lambda: Scenario(1.0, SurfaceSpec.grid(2, 2, 0.4), _one_user(), total_power=math.nan),
+         "total_power"),
+    ],
+)
+def test_non_finite_fields_are_refused(build, field):
+    with pytest.raises(GeometryError, match=rf"^{field} must be finite"):
+        build()
