@@ -2,7 +2,8 @@
 function.
 
 Every transmit/receive patch pair contributes a 3x3 dyadic block; the blocks
-are scattered into nine co-/cross-polarized sub-matrices H_pq (receive
+are written into one polarization-major 3 N_r x 3 N_s matrix whose nine
+N_r x N_s sub-blocks are the co-/cross-polarized channels H_pq (receive
 polarization p, transmit polarization q).  The model is deterministic: unit
 surface currents, no fading, no noise realizations.  A global i*omega*mu gain
 constant is omitted; it cancels in every normalized metric.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,17 +29,7 @@ def _sinc(x):
     return np.sinc(np.asarray(x) / np.pi)
 
 
-def scalar_green(r, rp, k0: float) -> complex:
-    """Free-space scalar Green's function exp(i k0 d) / (4 pi d)."""
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(rp, dtype=float)
-    d = float(np.linalg.norm(r - rp))
-    if d == 0.0:
-        raise SingularityError("coincident source and observation points")
-    return np.exp(1j * k0 * d) / (4.0 * math.pi * d)
-
-
-def radial_coeffs(k0r) -> tuple[complex, complex]:
+def radial_coeffs(k0r) -> tuple[np.ndarray, np.ndarray]:
     """Radial weights (c1, c2) of the dyadic Green's function at k0 * r.
 
     c1 multiplies the identity, c2 the outer product of the unit direction:
@@ -47,36 +39,28 @@ def radial_coeffs(k0r) -> tuple[complex, complex]:
     if np.any(arr <= 0):
         raise ValueError("k0 * r must be positive")
     inv = 1.0 / arr
-    c1 = np.asarray(1.0 + 1j * inv - inv**2)
-    c2 = np.asarray(3.0 * inv**2 - 3j * inv - 1.0)
-    if arr.ndim == 0:
-        return complex(c1), complex(c2)
-    return c1, c2
+    return 1.0 + 1j * inv - inv**2, 3.0 * inv**2 - 3j * inv - 1.0
 
 
-def dyadic_green(r, rp, k0: float) -> np.ndarray:
-    """Point-to-point 3x3 dyadic Green's function (c1 I + c2 rr) g."""
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(rp, dtype=float)
-    diff = r - rp
-    d = float(np.linalg.norm(diff))
-    if d == 0.0:
-        raise SingularityError("coincident source and observation points")
-    unit = diff / d
-    c1, c2 = radial_coeffs(k0 * d)
-    g = np.exp(1j * k0 * d) / (4.0 * math.pi * d)
-    return (c1 * np.eye(3) + c2 * np.outer(unit, unit)) * g
+def block_view(mat: np.ndarray) -> np.ndarray:
+    """The (3, 3, n, m) view of a polarization-major 3n x 3m matrix.
+
+    Entry [p, q] is the n x m sub-block in row block p and column block q.
+    ``mat`` must be C-contiguous so that writes through the view reach it.
+    """
+    return mat.reshape(3, mat.shape[0] // 3, 3, mat.shape[1] // 3).transpose(0, 2, 1, 3)
 
 
 def pair_blocks(diff, ds, area, k0: float) -> np.ndarray:
-    """Integrated 3x3 channel blocks of transmit/receive patch pairs.
+    """Integrated channel of every transmit/receive patch pair.
 
-    ``diff`` holds receive-minus-transmit center offsets, shape (..., 3);
-    ``ds`` is the transmit patch (dx, dy) and ``area`` the product of the
-    transmit and receive patch areas, a number or an array broadcasting
-    against ``diff[..., 0]``.  Aperture sinc factors use the transmit patch
-    dimensions; the receive patch contributes its area only.  Returns shape
-    (3, 3, ...): entry [p, q] is receive polarization p, transmit
+    ``diff`` holds receive-minus-transmit center offsets, shape
+    (N_r, N_s, 3); ``ds`` is the transmit patch (dx, dy) and ``area`` the
+    product of the transmit and receive patch areas, a number or an array
+    broadcasting against ``diff[..., 0]``.  Aperture sinc factors use the
+    transmit patch dimensions; the receive patch contributes its area only.
+    Returns the polarization-major 3 N_r x 3 N_s matrix: the N_r x N_s
+    block (p, q) of :func:`block_view` is receive polarization p, transmit
     polarization q.
     """
     diff = np.asarray(diff, dtype=float)
@@ -92,13 +76,15 @@ def pair_blocks(diff, ds, area, k0: float) -> np.ndarray:
         * _sinc(k0 * diff[..., 0] * ds[0] / (2.0 * dist))
         * _sinc(k0 * diff[..., 1] * ds[1] / (2.0 * dist))
     )
-    out = np.empty((3, 3) + dist.shape, dtype=np.complex128)
+    n_r, n_s = dist.shape
+    out = np.empty((3 * n_r, 3 * n_s), dtype=np.complex128)
+    blocks = block_view(out)
     for p in range(3):
         for q in range(3):
             dyad = c2 * unit[..., p] * unit[..., q]
             if p == q:
                 dyad = dyad + c1
-            out[p, q] = scalar * dyad
+            blocks[p, q] = scalar * dyad
     return out
 
 
@@ -106,13 +92,14 @@ def pair_blocks(diff, ds, area, k0: float) -> np.ndarray:
 class PolarizedChannel:
     """3 N_r x 3 N_s polarized channel with addressable H_pq sub-blocks.
 
-    ``blocks[p, q]`` is the N_r x N_s sub-channel received on polarization p
-    and transmitted on polarization q; rows within each sub-channel stack the
-    users in scenario order.  The stacked form is polarization-major (all
-    users' x rows, then y, then z).
+    ``matrix`` is the polarization-major channel: all users' x rows, then
+    y, then z, against the x, y and z transmit columns.  Every other form is
+    a view of it: ``blocks[p, q]`` is the N_r x N_s sub-channel received on
+    polarization p and transmitted on polarization q, with rows stacking the
+    users in scenario order.
     """
 
-    blocks: np.ndarray  # (3, 3, N_r, N_s) complex
+    matrix: np.ndarray  # (3 N_r, 3 N_s) complex
     user_offsets: tuple[int, ...]  # row offsets per user, len K + 1
 
     @property
@@ -121,11 +108,16 @@ class PolarizedChannel:
 
     @property
     def n_rx(self) -> int:
-        return self.blocks.shape[2]
+        return self.matrix.shape[0] // 3
 
     @property
     def n_tx(self) -> int:
-        return self.blocks.shape[3]
+        return self.matrix.shape[1] // 3
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """(3, 3, N_r, N_s) view of ``matrix``, made once: the SE loops index it per user pair."""
+        return block_view(self.matrix)
 
     def user_rows(self, k: int) -> slice:
         return slice(self.user_offsets[k], self.user_offsets[k + 1])
@@ -139,23 +131,12 @@ class PolarizedChannel:
 
     def stacked(self) -> np.ndarray:
         """Full 3 N_r x 3 N_s matrix in polarization-major layout."""
-        rows = [np.hstack([self.blocks[p, q] for q in range(3)]) for p in range(3)]
-        return np.vstack(rows)
+        return self.matrix
 
     def user_stacked(self, k: int) -> np.ndarray:
         """User k's 3 N̄_r x 3 N_s slice of the polarization-major stack."""
-        rows = self.user_rows(k)
-        out = [np.hstack([self.blocks[p, q][rows] for q in range(3)]) for p in range(3)]
-        return np.vstack(out)
-
-    def xy_stacked(self) -> np.ndarray:
-        """Dual-polarized 2 N_r x 2 N_s sub-channel (x and y only)."""
-        return np.vstack(
-            [
-                np.hstack([self.blocks[0, 0], self.blocks[0, 1]]),
-                np.hstack([self.blocks[1, 0], self.blocks[1, 1]]),
-            ]
-        )
+        rows = self.matrix.reshape(3, self.n_rx, -1)[:, self.user_rows(k)]
+        return rows.reshape(-1, self.matrix.shape[1])
 
 
 def assemble_channel(scenario: Scenario) -> PolarizedChannel:
@@ -170,8 +151,8 @@ def assemble_channel(scenario: Scenario) -> PolarizedChannel:
     rx = np.vstack([patch_centers(spec) for spec in surfaces])
     counts = [spec.count for spec in surfaces]
     area = np.repeat([tx_spec.dx * tx_spec.dy * spec.dx * spec.dy for spec in surfaces], counts)
-    blocks = pair_blocks(
+    matrix = pair_blocks(
         rx[:, None, :] - tx[None, :, :], (tx_spec.dx, tx_spec.dy), area[:, None], scenario.k0
     )
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    return PolarizedChannel(blocks=blocks, user_offsets=tuple(int(o) for o in offsets))
+    return PolarizedChannel(matrix=matrix, user_offsets=tuple(int(o) for o in offsets))

@@ -36,6 +36,9 @@ from .experiments import (
 from .numerics import DEFAULT_TOL
 
 MAX_SNR_POINTS = 10_000
+# |SNR| in dB: 10^(300/10) = 1e30 keeps the linear SNR and the noise power far
+# from float overflow and underflow.
+MAX_ABS_SNR_DB = 300.0
 
 
 def _snr_numbers(text: str, parts) -> list[float]:
@@ -51,7 +54,8 @@ def _snr_numbers(text: str, parts) -> list[float]:
 def parse_snr_range(text: str) -> list[float]:
     """Parse 'start:step:stop' (dB) into a grid, or a comma list of values.
 
-    Every number must be finite, and a grid has at most MAX_SNR_POINTS points.
+    Every number must be finite, a grid has at most MAX_SNR_POINTS points,
+    and every SNR value lies within +-MAX_ABS_SNR_DB.
     """
     if ":" in text:
         parts = text.split(":")
@@ -72,7 +76,22 @@ def parse_snr_range(text: str) -> list[float]:
         out = _snr_numbers(text, [p for p in text.split(",") if p.strip()])
     if not out:
         raise ConfigError("--snr range is empty")
+    if any(abs(v) > MAX_ABS_SNR_DB for v in out):
+        raise ConfigError(
+            f"--snr values must lie in [-{MAX_ABS_SNR_DB:g}, {MAX_ABS_SNR_DB:g}] dB, got {text!r}"
+        )
     return out
+
+
+def _tolerance(text: str) -> float:
+    """Type of ``--tol``: a finite number with 0 <= tol < 1."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < 1.0:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"expected a number with 0 <= tol < 1, got {text!r}")
+    return tol
 
 
 def _csv_list(text: str) -> list[str]:
@@ -90,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", type=Path, required=scenario_required,
                        help="scenario file (key = value lines)")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="rank tolerance")
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                       help="rank tolerance, 0 <= tol < 1")
 
     add_common(sub.add_parser("channel", help="export the polarized channel matrix"))
     add_common(sub.add_parser("correlation", help="transmit correlation per user and polarization"))
@@ -183,8 +203,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         paths = run(args)
-    except (ConfigError, GeometryError, FileNotFoundError) as exc:
+    except (ConfigError, GeometryError) as exc:
         print(f"hmimos: configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # reading --scenario or writing under --out
+        print(f"hmimos: file error: {exc}", file=sys.stderr)
         return 2
     except (PrecoderDegeneracyError, CapacityExceededError) as exc:
         print(f"hmimos: precoding failed: {exc}", file=sys.stderr)

@@ -1,5 +1,4 @@
-"""Image-theory spatial correlation of transmit patches and the diversity
-metric.
+"""Image-theory spatial correlation of transmit patches.
 
 The correlation between two coplanar transmit patches is proportional to the
 imaginary part of a composite Green's function: the free-space term evaluated
@@ -128,25 +127,3 @@ def transmit_correlation(spec: SurfaceSpec, distance: float, k0: float, pol: str
         raise ValueError(f"unknown polarization {pol!r}")
     raw = 0.5 * (raw + raw.T)
     return CorrelationMatrix(raw=raw, pol=pol, distance=distance)
-
-
-def dof(r) -> float:
-    """Diversity gain (tr R / ||R||_f)^2 of a correlation matrix."""
-    mat = r.raw if isinstance(r, CorrelationMatrix) else np.asarray(r, dtype=float)
-    fro = np.linalg.norm(mat)
-    if fro == 0.0:
-        raise ValueError("zero correlation matrix has no diversity gain")
-    return float((np.trace(mat) / fro) ** 2)
-
-
-def tp_dof(spec: SurfaceSpec, distance: float, k0: float) -> float:
-    """Diversity gain of the three co-polarized correlations combined.
-
-    Equals dof() of the block-diagonal matrix built from the xx, yy and zz
-    raw correlation matrices (they share the same dropped proportionality
-    constant, so combining the raw forms is consistent).
-    """
-    mats = [transmit_correlation(spec, distance, k0, pol).raw for pol in ("xx", "yy", "zz")]
-    trace = sum(float(np.trace(m)) for m in mats)
-    fro2 = sum(float(np.linalg.norm(m)) ** 2 for m in mats)
-    return trace**2 / fro2

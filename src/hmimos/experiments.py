@@ -87,7 +87,7 @@ def prepare_sweep(scenario: Scenario, schemes=SCHEMES, tol: float = DEFAULT_TOL)
     n_tot = sum(s.size for s in spectra)
     sum2 = sum(float(np.sum(s**2)) for s in spectra)
     scale = math.sqrt(GAIN_HEADROOM * n_tot**2 / sum2)
-    scaled = PolarizedChannel(blocks=channel.blocks * scale, user_offsets=channel.user_offsets)
+    scaled = replace(channel, matrix=channel.matrix * scale)
     by_scheme = {"two-layer": [s * scale for s in spectra]}
     link = None
     if "uc" in schemes:

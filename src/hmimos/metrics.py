@@ -28,14 +28,6 @@ def eigen_spectrum(block) -> np.ndarray:
     return np.sort(s**2)[::-1]
 
 
-def significant_count(eigenvalues, fraction: float = 0.01) -> int:
-    """How many eigenvalues exceed ``fraction`` of the largest one."""
-    e = np.asarray(eigenvalues, dtype=float)
-    if e.size == 0 or e[0] <= 0:
-        return 0
-    return int(np.count_nonzero(e > fraction * e[0]))
-
-
 def spectral_efficiency(singulars, q: float, g, sigma2: float) -> float:
     """Sum-rate of one co-polarization: sum_j log2(1 + q g_j s_j^2 / sigma2).
 
@@ -89,12 +81,15 @@ def capacity_families(channel: PolarizedChannel, snr: float) -> dict[str, float]
     Families are compared under a common total-power constraint
     (``n_streams = 1``): each trace-normalized family radiates the same
     power, so the tri-polarized gain reflects its extra spatial dimensions
-    rather than a per-port power split.
+    rather than a per-port power split.  In the polarization-major layout
+    the dual-polarized (x, y) and single-polarized (x) sub-channels are the
+    leading 2 N_r x 2 N_s and N_r x N_s sub-matrices.
     """
+    h, n_r, n_s = channel.matrix, channel.n_rx, channel.n_tx
     return {
-        "tp": capacity(channel.stacked(), snr, 1),
-        "dp": capacity(channel.xy_stacked(), snr, 1),
-        "single": capacity(channel.block("x", "x"), snr, 1),
+        "tp": capacity(h, snr, 1),
+        "dp": capacity(h[: 2 * n_r, : 2 * n_s], snr, 1),
+        "single": capacity(h[:n_r, :n_s], snr, 1),
     }
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import POLS, PolarizedChannel
+from .channel import POLS, PolarizedChannel, block_view
 from .errors import CapacityExceededError, ConfigError, PrecoderDegeneracyError
 from .numerics import DEFAULT_TOL, range_basis, svd_partition
 
@@ -98,14 +98,11 @@ def cluster_link(channel: PolarizedChannel, distances) -> ClusterLink:
 
 def cross_polar_system(channel: PolarizedChannel) -> np.ndarray:
     """The 3 N_r x 3 N_s system collecting only the cross-polarized blocks."""
-    zero = np.zeros_like(channel.block("x", "x"))
-    return np.vstack(
-        [
-            np.hstack([zero, channel.block("x", "y"), channel.block("x", "z")]),
-            np.hstack([channel.block("y", "x"), zero, channel.block("y", "z")]),
-            np.hstack([channel.block("z", "x"), channel.block("z", "y"), zero]),
-        ]
-    )
+    h_xp = channel.matrix.copy()
+    blocks = block_view(h_xp)
+    for i in range(3):
+        blocks[i, i] = 0.0
+    return h_xp
 
 
 def gaussian_elim_precoder(channel: PolarizedChannel, tol: float = DEFAULT_TOL):
@@ -142,8 +139,8 @@ def gaussian_elim_precoder(channel: PolarizedChannel, tol: float = DEFAULT_TOL):
     if row_space.shape[1] >= 3 * n_s:
         raise PrecoderDegeneracyError("H_XP", "cross-polarization system has no null space")
     basis = np.zeros((3 * n_s, 3 * n_r), dtype=np.complex128)
-    for i, pol in enumerate(POLS):
-        basis[i * n_s : (i + 1) * n_s, i * n_r : (i + 1) * n_r] = channel.block(pol, pol).conj().T
+    for i in range(3):
+        block_view(basis)[i, i] = channel.blocks[i, i].conj().T
     # The second pass takes the row-space residual from eps / s_min (left by
     # orthonormalizing a nearly cancelled matrix) back down to eps.
     for _ in range(2):

@@ -10,8 +10,9 @@ import time
 import numpy as np
 import pytest
 
+from _oracles import dyadic_green
 from _support import random_nf_scenario
-from hmimos.channel import assemble_channel, dyadic_green
+from hmimos.channel import assemble_channel
 from hmimos.correlation import im_green0_xx, transmit_correlation
 from hmimos.csvio import THREADS_ENV
 from hmimos.experiments import (

@@ -4,25 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import dyadic_green, scalar_green, significant_count
 from _support import two_user_scenario
-from hmimos.channel import (
-    assemble_channel,
-    dyadic_green,
-    pair_blocks,
-    radial_coeffs,
-    scalar_green,
-)
+from hmimos.channel import assemble_channel, pair_blocks, radial_coeffs
 from hmimos.errors import SingularityError
 from hmimos.geometry import Scenario, SurfaceSpec, UserPlacement
-from hmimos.metrics import eigen_spectrum, significant_count
+from hmimos.metrics import capacity, capacity_families, eigen_spectrum
+from hmimos.precoding import cross_polar_system
 
 K0 = 2.0 * math.pi  # wavelength 1 m
 
 
 def one_pair_block(tx_center, rx_center, ds, dr, k0):
-    """One patch pair's 3x3 block through the vectorized kernel."""
+    """One patch pair's 3x3 block: the kernel's 3 N_r x 3 N_s output at N_r = N_s = 1."""
     diff = np.asarray(rx_center, dtype=float) - np.asarray(tx_center, dtype=float)
-    return pair_blocks(diff, ds, ds[0] * ds[1] * dr[0] * dr[1], k0)
+    return pair_blocks(diff[None, None, :], ds, ds[0] * ds[1] * dr[0] * dr[1], k0)
 
 
 def test_scalar_green_one_wavelength():
@@ -104,13 +100,50 @@ def test_channel_block_against_independent_evaluation():
     assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 1e-12
 
 
+def hstack_vstack(blocks, rows=slice(None), pols=range(3)):
+    """Oracle: the polarization-major matrix assembled block by block."""
+    return np.vstack([np.hstack([blocks[p, q][rows] for q in pols]) for p in pols])
+
+
 def test_assemble_channel_dimensions():
     scenario = two_user_scenario(n_side=4, nr_grid=(2, 2))
     channel = assemble_channel(scenario)
     assert channel.stacked().shape == (24, 48)
     assert channel.user_stacked(0).shape == (12, 48)
     assert channel.block("x", "y").shape == (8, 16)
-    assert channel.xy_stacked().shape == (16, 32)
+    assert channel.blocks.shape == (3, 3, 8, 16)
+
+
+def test_every_channel_form_is_a_view_of_the_stacked_matrix():
+    channel = assemble_channel(two_user_scenario(n_side=4, nr_grid=(2, 2)))
+    h = channel.stacked()
+    n_r, n_s = channel.n_rx, channel.n_tx
+    for i, p in enumerate("xyz"):
+        for j, q in enumerate("xyz"):
+            expected = h[i * n_r : (i + 1) * n_r, j * n_s : (j + 1) * n_s]
+            assert np.array_equal(channel.blocks[i, j], expected)
+            assert np.array_equal(channel.block(p, q), expected)
+            assert np.shares_memory(channel.block(p, q), h)
+    blocks = channel.blocks
+    assert np.array_equal(h, hstack_vstack(blocks))
+    for k in range(channel.n_users):
+        assert np.array_equal(channel.user_stacked(k), hstack_vstack(blocks, channel.user_rows(k)))
+
+    families = {"tp": hstack_vstack(blocks), "dp": hstack_vstack(blocks, pols=range(2)),
+                "single": blocks[0, 0].copy()}
+    caps = capacity_families(channel, 10.0)
+    assert caps == {fam: capacity(mat, 10.0, 1) for fam, mat in families.items()}
+
+    before = h.copy()
+    h_xp = cross_polar_system(channel)
+    assert np.array_equal(h, before)
+    xp_blocks = h_xp.reshape(3, n_r, 3, n_s)
+    for i in range(3):
+        for j in range(3):
+            if i == j:
+                assert not np.any(xp_blocks[i, :, j])
+            else:
+                assert np.array_equal(xp_blocks[i, :, j], blocks[i, j])
 
 
 def test_boresight_cross_blocks_exactly_zero():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hmimos.cli import MAX_SNR_POINTS, main, parse_snr_range
+from hmimos.cli import MAX_ABS_SNR_DB, MAX_SNR_POINTS, main, parse_snr_range
 from hmimos.config import load_scenario, parse_keyvalues, scenario_from_keyvalues
 from hmimos.errors import ConfigError
 
@@ -200,7 +200,7 @@ def test_parse_snr_range():
         parse_snr_range("0:0:10")
     with pytest.raises(ConfigError):
         parse_snr_range("a:b:c")
-    assert len(parse_snr_range("0:1:9999")) == MAX_SNR_POINTS
+    assert len(parse_snr_range("0:0.01:99.99")) == MAX_SNR_POINTS
     for text in ("0:1:10000", "0:1e-5:10", "-1e308:1e-300:1e308", "1e16:1:1e16"):
         with pytest.raises(ConfigError, match=f"--snr grid has more than {MAX_SNR_POINTS} points"):
             parse_snr_range(text)
@@ -304,6 +304,59 @@ def test_oversized_snr_grid_exits_two(tmp_path, capsys):
     assert main(argv + ["--snr", "0:1e-5:10"]) == 2
     assert "--snr grid has more than" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command, snr",
+    [("capacity", "4000"), ("capacity", "-4000"), ("precode-sweep", "-4000"),
+     ("capacity", "3080"), ("precode-sweep", "3080"),
+     ("capacity", "300.000001"), ("precode-sweep", "-300.000001,0"), ("capacity", "250:100:450")],
+)
+def test_snr_outside_range_exits_two(tmp_path, capsys, command, snr):
+    scenario = write(tmp_path, "k3.cfg", K3_SCENARIO)
+    code = main([command, "--scenario", str(scenario), "--out", str(tmp_path), "--snr", snr])
+    assert code == 2
+    bounds = f"[-{MAX_ABS_SNR_DB:g}, {MAX_ABS_SNR_DB:g}]"
+    assert f"--snr values must lie in {bounds} dB" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["capacity", "precode-sweep"])
+def test_snr_range_edges_give_finite_values(tmp_path, command):
+    scenario = write(tmp_path, "k3.cfg", K3_SCENARIO)
+    edges = f"-{MAX_ABS_SNR_DB:g},{MAX_ABS_SNR_DB:g}"
+    assert main([command, "--scenario", str(scenario), "--out", str(tmp_path), "--snr", edges]) == 0
+    header, rows = read_rows(next(tmp_path.glob("*.csv")))
+    snr = header.index("snr_db")
+    assert {float(row[snr]) for row in rows} == {-MAX_ABS_SNR_DB, MAX_ABS_SNR_DB}
+    assert all(np.isfinite(float(row[-1])) for row in rows)
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "1", "x"])
+def test_bad_tolerance_exits_two(tmp_path, capsys, tol):
+    scenario = write(tmp_path, "k3.cfg", K3_SCENARIO)
+    argv = ["precode-sweep", "--scenario", str(scenario), "--out", str(tmp_path), "--tol", tol]
+    assert main(argv) == 2
+    assert "argument --tol: expected a number with 0 <= tol < 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_zero_tolerance_is_accepted(tmp_path):
+    scenario = write(tmp_path, "k3.cfg", K3_SCENARIO)
+    argv = ["precode-sweep", "--scenario", str(scenario), "--out", str(tmp_path), "--tol", "0"]
+    assert main(argv) == 0
+
+
+def test_unreadable_scenario_and_unwritable_output_exit_two(tmp_path, capsys):
+    scenario = write(tmp_path, "k3.cfg", K3_SCENARIO)
+    assert main(["channel", "--scenario", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hmimos: file error: ") and f"directory: '{tmp_path}'" in err
+    taken = write(tmp_path, "taken", "")
+    assert main(["channel", "--scenario", str(scenario), "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hmimos: file error: ") and f"File exists: '{taken}'" in err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def _edited(text, line):

@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hmimos.channel import dyadic_green
-from hmimos.correlation import (
-    dof,
-    im_green0_xx,
-    im_green_image_xx,
-    tp_dof,
-    transmit_correlation,
-)
+from _oracles import correlation_dof as dof
+from _oracles import dyadic_green, tp_dof
+from hmimos.correlation import im_green0_xx, im_green_image_xx, transmit_correlation
 from hmimos.geometry import SurfaceSpec
 
 K0 = 2.0 * math.pi

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import significant_count
 from hmimos.channel import assemble_channel
 from hmimos.experiments import fig12_scenario, prepare_sweep, scheme_spectral_efficiency
 from hmimos.geometry import Scenario, SurfaceSpec, UserPlacement
@@ -11,7 +12,6 @@ from hmimos.metrics import (
     capacity_families,
     channel_dof,
     eigen_spectrum,
-    significant_count,
     spectral_efficiency,
 )
 
