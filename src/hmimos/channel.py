@@ -39,7 +39,16 @@ def radial_coeffs(k0r) -> tuple[np.ndarray, np.ndarray]:
     if np.any(arr <= 0):
         raise ValueError("k0 * r must be positive")
     inv = 1.0 / arr
-    return 1.0 + 1j * inv - inv**2, 3.0 * inv**2 - 3j * inv - 1.0
+    inv2 = inv**2
+    # In place, so that fewer complex temporaries are alive at once; the
+    # operations and their order are those of the two formulas above.
+    c1 = 1j * inv
+    c1 += 1.0
+    c1 -= inv2
+    inv2 *= 3.0
+    c2 = inv2 - 3j * inv
+    c2 -= 1.0
+    return c1, c2
 
 
 def block_view(mat: np.ndarray) -> np.ndarray:

@@ -105,12 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario_required=True):
-        p.add_argument("--scenario", type=Path, required=scenario_required,
+    def add_common(p):
+        p.add_argument("--scenario", type=Path, required=True,
                        help="scenario file (key = value lines)")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
-                       help="rank tolerance, 0 <= tol < 1")
 
     add_common(sub.add_parser("channel", help="export the polarized channel matrix"))
     add_common(sub.add_parser("correlation", help="transmit correlation per user and polarization"))
@@ -123,6 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("precode-sweep", help="spectral efficiency over scheme x PA x SNR")
     add_common(p_sweep)
     p_sweep.add_argument("--snr", type=str, default="-10:2:20", help="start:step:stop in dB")
+    p_sweep.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                         help="rank tolerance, 0 <= tol < 1")
     p_sweep.add_argument("--schemes", type=str, default=",".join(SCHEMES),
                          help="comma list from: " + ",".join(SCHEMES))
     p_sweep.add_argument("--pa", type=str, default=",".join(PA_NAMES),

@@ -18,14 +18,14 @@ from .power import PowerAllocation
 def eigen_spectrum(block) -> np.ndarray:
     """Eigenvalues of the Gram matrix of a channel block, sorted descending.
 
-    Computed as squared singular values, so the result is nonnegative and
-    sums to the squared Frobenius norm.
+    Computed as squared singular values, which ``np.linalg.svd`` returns in
+    descending order, so the result is nonnegative and sums to the squared
+    Frobenius norm.
     """
     mat = np.asarray(block)
     if mat.size == 0:
         raise ValueError("empty channel block")
-    s = np.linalg.svd(mat, compute_uv=False)
-    return np.sort(s**2)[::-1]
+    return np.linalg.svd(mat, compute_uv=False) ** 2
 
 
 def spectral_efficiency(singulars, q: float, g, sigma2: float) -> float:

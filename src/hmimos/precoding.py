@@ -28,18 +28,12 @@ from .errors import CapacityExceededError, ConfigError, PrecoderDegeneracyError
 from .numerics import DEFAULT_TOL, range_basis, svd_partition
 
 
-@dataclass(frozen=True)
-class ClusterAssignment:
-    """Distance-ranked round-robin split of users onto the polarizations."""
-
-    subsets: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-
-def cluster_users(distances) -> ClusterAssignment:
+def cluster_users(distances) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Assign each user to one polarization by sorted distance.
 
     Users sorted ascending by distance are dealt round-robin: ranks 1, 4, ...
-    to x, ranks 2, 5, ... to y, ranks 3, 6, ... to z.  Requires the user
+    to x, ranks 2, 5, ... to y, ranks 3, 6, ... to z; the result is the
+    (x, y, z) tuple of user-index subsets.  Requires the user
     count to be divisible by 3.  Ties keep the lower user index first
     (stable sort), so permuted inputs give the same assignment.
     """
@@ -48,14 +42,14 @@ def cluster_users(distances) -> ClusterAssignment:
     if k == 0 or k % 3 != 0:
         raise ConfigError("K must be divisible by 3 for user-cluster precoding")
     order = np.argsort(d, kind="stable")
-    return ClusterAssignment(subsets=tuple(tuple(int(u) for u in order[i::3]) for i in range(3)))
+    return tuple(tuple(int(u) for u in order[i::3]) for i in range(3))
 
 
 @dataclass(frozen=True)
 class ClusterLink:
     """Per-user SVD transceivers of the user-cluster scheme."""
 
-    assignment: ClusterAssignment
+    subsets: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # users per polarization
     pol_of_user: tuple[int, ...]
     stream_offsets: tuple[int, ...]  # first stream of each user within its polarization
     combiners: tuple[np.ndarray, ...]  # U per user
@@ -63,19 +57,19 @@ class ClusterLink:
     precoders: tuple[np.ndarray, ...]  # V per user (N_s x streams)
 
     def pooled_singulars(self, pol_index: int) -> np.ndarray:
-        vals = [self.singulars[k] for k in self.assignment.subsets[pol_index]]
+        vals = [self.singulars[k] for k in self.subsets[pol_index]]
         return np.concatenate(vals) if vals else np.zeros(0)
 
 
 def cluster_link(channel: PolarizedChannel, distances) -> ClusterLink:
     """Cluster the users and take each one's SVD on its own co-polarized block."""
-    assignment = cluster_users(distances)
+    subsets = cluster_users(distances)
     pol_of_user = [0] * channel.n_users
     offsets = [0] * channel.n_users
     combiners: list[np.ndarray] = [None] * channel.n_users  # type: ignore[list-item]
     singulars: list[np.ndarray] = list(combiners)
     precoders: list[np.ndarray] = list(combiners)
-    for pol_index, members in enumerate(assignment.subsets):
+    for pol_index, members in enumerate(subsets):
         pol = POLS[pol_index]
         offset = 0
         for k in members:
@@ -87,7 +81,7 @@ def cluster_link(channel: PolarizedChannel, distances) -> ClusterLink:
             singulars[k] = s
             precoders[k] = vh.conj().T
     return ClusterLink(
-        assignment=assignment,
+        subsets=subsets,
         pol_of_user=tuple(pol_of_user),
         stream_offsets=tuple(offsets),
         combiners=tuple(combiners),

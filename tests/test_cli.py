@@ -341,6 +341,15 @@ def test_bad_tolerance_exits_two(tmp_path, capsys, tol):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["channel", "correlation", "dof", "capacity"])
+def test_tolerance_only_on_precode_sweep(tmp_path, capsys, command):
+    scenario = write(tmp_path, "k3.cfg", K3_SCENARIO)
+    argv = [command, "--scenario", str(scenario), "--out", str(tmp_path), "--tol", "0.5"]
+    assert main(argv) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_zero_tolerance_is_accepted(tmp_path):
     scenario = write(tmp_path, "k3.cfg", K3_SCENARIO)
     argv = ["precode-sweep", "--scenario", str(scenario), "--out", str(tmp_path), "--tol", "0"]

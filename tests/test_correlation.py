@@ -5,8 +5,8 @@ import pytest
 
 from _oracles import correlation_dof as dof
 from _oracles import dyadic_green, tp_dof
-from hmimos.correlation import im_green0_xx, im_green_image_xx, transmit_correlation
-from hmimos.geometry import SurfaceSpec
+from hmimos.correlation import im_green0_xx, transmit_correlation
+from hmimos.geometry import SurfaceSpec, patch_centers
 
 K0 = 2.0 * math.pi
 
@@ -62,23 +62,44 @@ def test_free_space_rejects_inconsistent_coordinates():
         im_green0_xx(0.1, 0.2, K0)
 
 
+def image_term(z):
+    """Image term of a single patch's xx self-correlation at link distance z."""
+    return transmit_correlation(line(1, 0.2), z, K0).diag_value - K0 / (6 * math.pi)
+
+
 def test_image_hand_value():
     # x = y = 0 with k0 r = pi: only the cosine term survives, sign flipped
-    val = im_green_image_xx(0.0, 0.0, 0.5, K0)
-    assert val == pytest.approx(+1.0 / (2 * math.pi**2), rel=1e-12)
+    assert image_term(0.5) == pytest.approx(+1.0 / (2 * math.pi**2), rel=1e-12)
 
 
 def test_image_decays_with_distance():
-    assert abs(im_green_image_xx(0.0, 0.0, 1e3, K0)) < 1e-6
+    assert abs(image_term(1e3)) < 1e-6
 
 
 def test_image_matches_term_by_term_oracle():
+    # the tangential image term is the negated free-space kernel at the image offset
     rng = np.random.default_rng(47)
     for _ in range(50):
         x, y = rng.uniform(-1.0, 1.0, size=2)
         z = rng.uniform(0.05, 3.0)
-        got = im_green_image_xx(x, y, z, K0)
+        got = -im_green0_xx(math.sqrt(x * x + y * y + z * z), x, K0)
         assert abs(got - image_six_terms(x, y, z, K0)) < 1e-12
+
+
+@pytest.mark.parametrize("z", [0.1, 0.45, 1.7])
+def test_copolarized_entries_match_dyadic_green(z):
+    # free-space Im G_pp plus the image-point Im G_pp with image signs (-, -, +)
+    spec = SurfaceSpec.grid(3, 2, 0.3, 0.2)
+    pts = patch_centers(spec)[:, :2]
+    for p, (pol, sign) in enumerate((("xx", -1.0), ("yy", -1.0), ("zz", 1.0))):
+        raw = transmit_correlation(spec, z, K0, pol).raw
+        for n, a in enumerate(pts):
+            obs = np.append(a, 0.0)
+            for m, b in enumerate(pts):
+                src, img = np.append(b, 0.0), np.append(b, -z)
+                free = K0 / (6 * math.pi) if n == m else dyadic_green(obs, src, K0)[p, p].imag
+                image = dyadic_green(obs, img, K0)[p, p].imag
+                assert abs(raw[n, m] - (free + sign * image)) < 1e-12, (pol, n, m)
 
 
 def test_normalized_diagonal_is_one():
@@ -95,7 +116,7 @@ def test_correlation_symmetric():
 def test_small_separation_diagonal_composition():
     z = 0.6
     cm = transmit_correlation(line(5, 0.25), z, K0)
-    expected = K0 / (6 * math.pi) + im_green_image_xx(0.0, 0.0, z, K0)
+    expected = K0 / (6 * math.pi) + image_six_terms(0.0, 0.0, z, K0)
     assert cm.diag_value == pytest.approx(expected, rel=1e-12)
 
 

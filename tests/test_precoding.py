@@ -18,20 +18,18 @@ from hmimos.precoding import (
 
 
 def test_cluster_users_round_robin():
-    assignment = cluster_users([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    assert assignment.subsets == ((0, 3), (1, 4), (2, 5))
+    assert cluster_users([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) == ((0, 3), (1, 4), (2, 5))
 
 
 def test_cluster_users_three():
-    assignment = cluster_users([0.5, 1.0, 2.0])
-    assert assignment.subsets == ((0,), (1,), (2,))
+    assert cluster_users([0.5, 1.0, 2.0]) == ((0,), (1,), (2,))
 
 
 def test_cluster_users_permutation_invariant():
     distances = [4.0, 1.0, 6.0, 3.0, 2.0, 5.0]
     shuffled = cluster_users(distances)
     # the same distance values land in the same polarizations as sorted input
-    by_pol = [sorted(distances[u] for u in members) for members in shuffled.subsets]
+    by_pol = [sorted(distances[u] for u in members) for members in shuffled]
     assert by_pol == [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]
 
 
@@ -101,7 +99,7 @@ def test_cluster_subchannel_shapes_and_rows():
     channel = assemble_channel(scenario)
     link = cluster_link(channel, [u.distance for u in scenario.users])
     covered = []
-    for i, (pol, members) in enumerate(zip(POLS, link.assignment.subsets)):
+    for i, (pol, members) in enumerate(zip(POLS, link.subsets)):
         offset = 0
         for user in members:
             u, s, v = link.combiners[user], link.singulars[user], link.precoders[user]
