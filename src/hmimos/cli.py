@@ -2,9 +2,9 @@
 
 Subcommands expose each pipeline stage on a scenario file, plus the figure
 presets.  Exit codes: 0 success, 2 configuration/parse errors, 3 degenerate
-precoding scenarios and other numerical failures.  Output CSVs are
-deterministic; HMIMOS_THREADS caps the sweep parallelism without changing
-results.
+precoding scenarios, other numerical failures and running out of memory.
+Output CSVs are deterministic; HMIMOS_THREADS caps the sweep parallelism
+without changing results.
 """
 
 from __future__ import annotations
@@ -214,6 +214,9 @@ def main(argv=None) -> int:
         return 3
     except np.linalg.LinAlgError as exc:
         print(f"hmimos: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"hmimos: out of memory: {exc}", file=sys.stderr)
         return 3
     for p in paths:
         print(p)

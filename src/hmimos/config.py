@@ -22,7 +22,8 @@ Example::
 All lengths are in meters.  Per-user keys override the ``rx.*`` defaults.
 Surface sections (``tx``, ``rx``, ``userN``) take ``layout`` (square,
 rectangle or circle; square needs nx == ny), ``nx``, ``ny``, ``dx``, ``dy``
-and ``total``; ``userN`` also takes ``z``, ``cx`` and ``cy``.  Circle
+and ``total``; ``userN`` also takes ``z``, ``cx`` and ``cy``.  Users are
+numbered ``user1`` to ``userK`` without leading zeros.  Circle
 layouts take ``total`` instead of ``nx``/``ny``.  There is no noise key:
 sweeps derive the noise power from their SNR axis and ``total_power``.
 Unknown keys, surface keys that no surface reads (``tx.nx`` under a circle
@@ -41,6 +42,7 @@ from .errors import ConfigError
 from .geometry import LAYOUTS, Scenario, SurfaceSpec, UserPlacement
 
 _KEY_RE = re.compile(r"^[a-z0-9_.]+$")
+_USER_RE = re.compile(r"^user([1-9]\d*)$")  # user sections: user1..userK, no leading zeros
 _SCENARIO_KEYS = ("scenario.wavelength", "scenario.total_power")
 _SURFACE_FIELDS = ("layout", "nx", "ny", "dx", "dy", "total")
 _USER_FIELDS = _SURFACE_FIELDS + ("z", "cx", "cy")
@@ -124,7 +126,7 @@ def _check_keys(kv) -> None:
         head, _, field = key.partition(".")
         if head in ("tx", "rx"):
             allowed = _SURFACE_FIELDS
-        elif re.match(r"^user\d+$", head):
+        elif _USER_RE.match(head):
             allowed = _USER_FIELDS
         else:
             allowed = ()
@@ -139,9 +141,8 @@ def scenario_from_keyvalues(kv: dict[str, str]) -> Scenario:
     read: set[str] = set()
     tx = _surface(kv, read, "tx")
 
-    user_ids = sorted(
-        {int(m.group(1)) for key in kv if (m := re.match(r"^user(\d+)\.", key))}
-    )
+    heads = (_USER_RE.match(key.partition(".")[0]) for key in kv)
+    user_ids = sorted({int(m.group(1)) for m in heads if m})
     if not user_ids:
         raise ConfigError("scenario defines no users (user1.z = ... is required)")
     if user_ids != list(range(1, len(user_ids) + 1)):

@@ -83,7 +83,7 @@ class SweepContext:
 def prepare_sweep(scenario: Scenario, schemes=SCHEMES, tol: float = DEFAULT_TOL) -> SweepContext:
     channel = assemble_channel(scenario)
     pre = two_layer_precoder(channel, tol)
-    spectra = [pre.pooled_singulars(p) for p in POLS]
+    spectra = list(pre.singulars)
     n_tot = sum(s.size for s in spectra)
     sum2 = sum(float(np.sum(s**2)) for s in spectra)
     scale = math.sqrt(GAIN_HEADROOM * n_tot**2 / sum2)

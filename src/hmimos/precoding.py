@@ -20,6 +20,7 @@ naming the block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -152,8 +153,9 @@ def bd_precoder(user_blocks, tol: float = DEFAULT_TOL):
     others.  In that basis group i's precoder spans the null space of the
     other groups' rho-column coordinates, oriented by the SVD of the group's
     own projected block, then mapped back through Q.  No factor wider than
-    rho is formed.  Returns the column-concatenated precoder and the
-    per-group column slices.
+    rho is formed.  Returns the per-group precoders F_i (N_s x d_i) and
+    stream gains: the d_i singular values of that orientation SVD, which
+    are those of the group's precoded channel H_i F_i.
 
     A group whose rows lie in the span of the other groups (including the
     case where those fill the whole input space) has no interference-free
@@ -166,9 +168,8 @@ def bd_precoder(user_blocks, tol: float = DEFAULT_TOL):
     rho = q.shape[1]
     coords = stacked @ q  # M x rho
     bounds = np.cumsum([0] + [b.shape[0] for b in user_blocks])
-    columns = []
-    slices = []
-    offset = 0
+    precoders = []
+    gains = []
     for i in range(k):
         if k > 1:
             others = np.delete(coords, np.s_[bounds[i] : bounds[i + 1]], axis=0)
@@ -182,35 +183,22 @@ def bd_precoder(user_blocks, tol: float = DEFAULT_TOL):
             basis = v0.conj().T  # rho x d_i
         else:
             basis = np.eye(rho, dtype=np.complex128)
-        _, _, v1, _ = svd_partition(coords[bounds[i] : bounds[i + 1]] @ basis, tol)
-        f_i = q @ (basis @ v1.conj().T)
-        columns.append(f_i)
-        slices.append(slice(offset, offset + f_i.shape[1]))
-        offset += f_i.shape[1]
-    return np.hstack(columns), tuple(slices)
+        # coords_i basis = U diag(s) (v1; v0), so (coords_i basis) v1^H = U_1 diag(s[:d_i]).
+        _, s, v1, _ = svd_partition(coords[bounds[i] : bounds[i + 1]] @ basis, tol)
+        precoders.append(q @ (basis @ v1.conj().T))
+        gains.append(s[: v1.shape[0]])
+    return tuple(precoders), tuple(gains)
 
 
 @dataclass(frozen=True)
 class PrecoderSet:
-    """First-layer matrices, per-polarization BD precoders and the effective
-    co-polarized channels they produce."""
+    """First-layer matrices, per-polarization BD precoders and the stream
+    gains of the effective co-polarized channels they produce."""
 
     first_layer: tuple[np.ndarray, np.ndarray, np.ndarray]  # P_x, P_y, P_z
     second_layer: tuple[np.ndarray, np.ndarray, np.ndarray]  # F_xx, F_yy, F_zz
-    effective: tuple[np.ndarray, np.ndarray, np.ndarray]  # H_xx^F, H_yy^F, H_zz^F
-    row_slices: tuple[slice, ...]  # receive rows per user (within one block)
     col_slices: tuple[tuple[slice, ...], ...]  # per pol, per user stream columns
-
-    def user_singulars(self, pol: str, k: int) -> np.ndarray:
-        """Singular values of user k's own block of the effective channel."""
-        i = POLS.index(pol)
-        block = self.effective[i][self.row_slices[k], self.col_slices[i][k]]
-        return np.linalg.svd(block, compute_uv=False)
-
-    def pooled_singulars(self, pol: str) -> np.ndarray:
-        """All users' effective singular values, user-major order."""
-        vals = [self.user_singulars(pol, k) for k in range(len(self.row_slices))]
-        return np.concatenate(vals) if vals else np.zeros(0)
+    singulars: tuple[np.ndarray, np.ndarray, np.ndarray]  # per pol, gains indexed like columns
 
 
 def two_layer_precoder(channel: PolarizedChannel, tol: float = DEFAULT_TOL) -> PrecoderSet:
@@ -223,28 +211,24 @@ def two_layer_precoder(channel: PolarizedChannel, tol: float = DEFAULT_TOL) -> P
     """
     p_mats = gaussian_elim_precoder(channel, tol)
     k = channel.n_users
-    row_slices = tuple(channel.user_rows(u) for u in range(k))
-
     h_p = [channel.block(pol, pol) @ p_q for pol, p_q in zip(POLS, p_mats)]
-    groups = [h_p[i][rs] for i in range(3) for rs in row_slices]
-    f_all, group_slices = bd_precoder(groups, tol)
+    groups = [h[channel.user_rows(u)] for h in h_p for u in range(k)]
+    precoders, gains = bd_precoder(groups, tol)
 
     second = []
-    effective = []
     col_slices = []
+    singulars = []
     for i in range(3):
-        pol_groups = group_slices[i * k : (i + 1) * k]
-        start = pol_groups[0].start
-        f_q = f_all[:, start : pol_groups[-1].stop]
-        second.append(f_q)
-        effective.append(h_p[i] @ f_q)
-        col_slices.append(tuple(slice(s.start - start, s.stop - start) for s in pol_groups))
+        f_users = precoders[i * k : (i + 1) * k]
+        edges = [0, *accumulate(f.shape[1] for f in f_users)]
+        second.append(np.hstack(f_users))
+        col_slices.append(tuple(map(slice, edges[:-1], edges[1:])))
+        singulars.append(np.concatenate(gains[i * k : (i + 1) * k]))
     return PrecoderSet(
         first_layer=tuple(p_mats),
         second_layer=tuple(second),
-        effective=tuple(effective),
-        row_slices=row_slices,
         col_slices=tuple(col_slices),
+        singulars=tuple(singulars),
     )
 
 

@@ -282,6 +282,21 @@ def test_linalg_error_exits_three(tmp_path, capsys, monkeypatch):
     assert "numerical failure: SVD did not converge" in capsys.readouterr().err
 
 
+def test_memory_error_exits_three(tmp_path, capsys, monkeypatch):
+    message = "Unable to allocate 2.98 GiB for an array with shape (20000, 20000)"
+
+    def exhaust(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("hmimos.cli.dof_rows", exhaust)
+    scenario = write(tmp_path, "k2.cfg", K2_SCENARIO)
+    assert main(["dof", "--scenario", str(scenario), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"hmimos: out of memory: {message}" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("text", ["nan", "-inf,0", "0:1:inf", "inf:1:2", "0:nan:2"])
 def test_parse_snr_range_refuses_non_finite(text):
     with pytest.raises(ConfigError, match="--snr expects finite numbers"):
@@ -399,10 +414,11 @@ def _edited(text, line):
             "user1.layout = circle\nuser1.total = 4\nuser2.layout = circle\nuser2.total = 4",
             "key rx.nx: not read by the chosen layout",
         ),
+        ("user01.cx = 5.0\nuser01.z = 9.0", "unknown configuration key 'user01.cx'"),
     ],
     ids=[
         "hexagon", "square-nx-ne-ny", "user-foo", "tx-foo", "rx-foo", "rx-z", "noise-power",
-        "circle-nx", "grid-total", "user-grid-total", "rx-nx-all-circles",
+        "circle-nx", "grid-total", "user-grid-total", "rx-nx-all-circles", "user-leading-zero",
     ],
 )
 def test_lax_scenario_key_exits_two(tmp_path, capsys, lines, message):

@@ -73,7 +73,11 @@ def test_image_hand_value():
 
 
 def test_image_decays_with_distance():
-    assert abs(image_term(1e3)) < 1e-6
+    # The term oscillates with k0 z, so single points can sit on its zeros;
+    # its envelope, the peak over one wavelength, falls as 1 / (4 pi z).
+    for z0 in (10.0, 100.0, 1000.0):
+        peak = max(abs(image_term(float(z))) for z in z0 + np.linspace(0.0, 1.0, 201))
+        assert peak * 4 * math.pi * z0 == pytest.approx(1.0, rel=0.03)
 
 
 def test_image_matches_term_by_term_oracle():

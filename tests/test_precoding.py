@@ -66,6 +66,11 @@ def _worst_leakage(channel, pre):
     return worst
 
 
+def _effective(channel, pre, i):
+    """H_pp P_p F_p of polarization i, formed from the two layers."""
+    return channel.blocks[i, i] @ pre.first_layer[i] @ pre.second_layer[i]
+
+
 def _seed_pooled_singulars(channel, tol=1e-10):
     """Reference two-layer precoder, as first written: a full null-space basis
     of the cross-polar system from a full SVD, then one full SVD of the other
@@ -148,9 +153,11 @@ def test_boresight_raises_degeneracy():
 def test_bd_single_block_keeps_row_space():
     rng = np.random.default_rng(67)
     h = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
-    f, slices = bd_precoder([h])
+    (f,), (gains,) = bd_precoder([h])
     assert f.shape == (8, 3)
-    assert slices == (slice(0, 3),)
+    # with no other group, the gains are the singular values of h itself
+    s = np.linalg.svd(h, compute_uv=False)
+    assert np.allclose(gains, s, rtol=0, atol=1e-12 * s[0])
     # columns span the leading right singular vectors of h
     _, _, v1, _ = svd_partition(h)
     overlap = np.linalg.norm(v1 @ f)  # both orthonormal, 3x3 product
@@ -161,17 +168,20 @@ def test_bd_single_block_keeps_row_space():
 def test_bd_two_blocks_leak_nothing():
     rng = np.random.default_rng(71)
     blocks = [rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16)) for _ in range(2)]
-    f, slices = bd_precoder(blocks)
+    precoders, gains = bd_precoder(blocks)
     for i in range(2):
         for j in range(2):
             if i == j:
                 continue
-            leak = blocks[i] @ f[:, slices[j]]
-            denom = np.linalg.norm(blocks[i]) * np.linalg.norm(f[:, slices[j]])
+            leak = blocks[i] @ precoders[j]
+            denom = np.linalg.norm(blocks[i]) * np.linalg.norm(precoders[j])
             assert np.linalg.norm(leak) / denom < 1e-10
-    for sl in slices:
-        cols = f[:, sl]
-        assert np.allclose(cols.conj().T @ cols, np.eye(cols.shape[1]), atol=1e-10)
+    for block, f, g in zip(blocks, precoders, gains):
+        assert g.shape == (f.shape[1],)
+        assert np.allclose(f.conj().T @ f, np.eye(f.shape[1]), atol=1e-10)
+        # each group's gains are the singular values of its precoded block
+        s = np.linalg.svd(block @ f, compute_uv=False)
+        assert np.allclose(g, s, rtol=0, atol=1e-12 * s[0])
 
 
 def test_bd_duplicate_block_raises_instead_of_noise_streams():
@@ -205,8 +215,7 @@ def test_bd_interference_filling_input_space_raises():
 def test_two_layer_singulars_match_seed_algorithm(scenario):
     channel = assemble_channel(scenario)
     pre = two_layer_precoder(channel)
-    for pol, oracle in zip(POLS, _seed_pooled_singulars(channel)):
-        got = pre.pooled_singulars(pol)
+    for got, oracle in zip(pre.singulars, _seed_pooled_singulars(channel)):
         assert got.shape == oracle.shape
         assert np.max(np.abs(got - oracle) / oracle) <= 1e-10
 
@@ -223,40 +232,42 @@ def test_two_layer_at_scale_20x20_six_users():
 def test_effective_channel_block_diagonal():
     # Receive polarization p sees the stacked first layer only through its
     # co-polarized block, so the precoded channel is block diagonal over the
-    # polarizations with diagonal blocks pre.effective.
+    # polarizations with diagonal blocks H_pp P_p F_p.
     channel = assemble_channel(two_user_scenario())
     pre = two_layer_precoder(channel)
     p_stack = np.vstack(pre.first_layer)
     n_r = channel.n_rx
-    for i, pol in enumerate(POLS):
-        direct = channel.block(pol, pol) @ pre.first_layer[i] @ pre.second_layer[i]
-        assert np.allclose(pre.effective[i], direct, atol=1e-14)
+    for i in range(3):
+        direct = _effective(channel, pre, i)
         received = channel.stacked()[i * n_r : (i + 1) * n_r] @ p_stack @ pre.second_layer[i]
         assert np.linalg.norm(received - direct) <= 1e-10 * np.linalg.norm(direct)
 
 
 def test_user_singulars_match_recomputed_svd():
-    channel = assemble_channel(two_user_scenario())
-    pre = two_layer_precoder(channel)
-    for i, pol in enumerate("xyz"):
-        h_p = channel.block(pol, pol) @ pre.first_layer[i]
-        for k in range(2):
-            block = h_p[channel.user_rows(k)] @ pre.second_layer[i][:, pre.col_slices[i][k]]
-            oracle = np.linalg.svd(block, compute_uv=False)
-            assert np.allclose(pre.user_singulars(pol, k), oracle, atol=1e-12)
+    for scenario in (two_user_scenario(), _k3_scenario()):
+        channel = assemble_channel(scenario)
+        pre = two_layer_precoder(channel)
+        for i in range(3):
+            effective = _effective(channel, pre, i)
+            for k in range(channel.n_users):
+                cols = pre.col_slices[i][k]
+                oracle = np.linalg.svd(effective[channel.user_rows(k), cols], compute_uv=False)
+                got = pre.singulars[i][cols]
+                assert got.shape == oracle.shape
+                assert np.max(np.abs(got - oracle)) <= 1e-12 * oracle[0]
 
 
 def test_per_user_cross_blocks_vanish():
     channel = assemble_channel(_k3_scenario())
     pre = two_layer_precoder(channel)
-    for pol in "xyz":
+    for i in range(3):
+        effective = _effective(channel, pre, i)
+        scale = np.linalg.norm(effective)
         for k_rx in range(3):
             for k_tx in range(3):
                 if k_rx == k_tx:
                     continue
-                i = "xyz".index(pol)
-                leak = pre.effective[i][pre.row_slices[k_rx], pre.col_slices[i][k_tx]]
-                scale = np.linalg.norm(pre.effective[i])
+                leak = effective[channel.user_rows(k_rx), pre.col_slices[i][k_tx]]
                 assert np.linalg.norm(leak) <= 1e-10 * max(scale, 1e-30)
 
 
@@ -267,4 +278,6 @@ def test_two_layer_precoder_deterministic():
     for i in range(3):
         assert np.array_equal(a.first_layer[i], b.first_layer[i])
         assert np.array_equal(a.second_layer[i], b.second_layer[i])
-        assert np.array_equal(a.effective[i], b.effective[i])
+        assert np.array_equal(a.singulars[i], b.singulars[i])
+        assert np.array_equal(_effective(channel, a, i), _effective(channel, b, i))
+    assert a.col_slices == b.col_slices
