@@ -135,9 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario_config(path: Path) -> str:
+def _scenario_config(path: Path, text: str) -> str:
+    """The CSV comment line: the scenario's file name and its non-comment lines."""
     kv = " ".join(
-        line.strip() for line in path.read_text().splitlines()
+        line.strip() for line in text.splitlines()
         if line.strip() and not line.strip().startswith("#")
     )
     return f"scenario={path.name} {kv}"
@@ -147,8 +148,10 @@ def run(args) -> list[Path]:
     if args.command == "preset":
         return figure_preset(args.preset, args.out)
 
-    scenario = load_scenario(args.scenario)
-    cfg = _scenario_config(args.scenario)
+    # One read: the scenario and the CSV comment line describe the same text.
+    text = args.scenario.read_text()
+    scenario = load_scenario(args.scenario, text)
+    cfg = _scenario_config(args.scenario, text)
     out = Path(args.out)
 
     if args.command == "channel":

@@ -165,7 +165,8 @@ def scenario_from_keyvalues(kv: dict[str, str]) -> Scenario:
         raise ConfigError(str(exc)) from exc
 
 
-def load_scenario(path) -> Scenario:
-    """Parse a scenario file into a validated :class:`Scenario`."""
-    text = Path(path).read_text()
+def load_scenario(path, text: str | None = None) -> Scenario:
+    """Parse a scenario file, or its already-read ``text``, into a validated :class:`Scenario`."""
+    if text is None:
+        text = Path(path).read_text()
     return scenario_from_keyvalues(parse_keyvalues(text))

@@ -98,10 +98,20 @@ def channel_dof(h) -> float:
 
     Equals the participation ratio of the channel eigenvalues,
     (sum s^2)^2 / sum s^4, evaluated without forming an eigendecomposition.
+    ||R||_f^2 comes from real products, at half the flops of the complex
+    Gram: Re R = X X^T, with X the interleaved [Re, Im] columns of H, and
+    Im R = C - C^T with C = Im(H) Re(H)^T.
     """
     mat = np.asarray(h, dtype=np.complex128)
     fro2 = float(np.linalg.norm(mat) ** 2)
     if fro2 == 0.0:
         raise ValueError("zero channel has no diversity gain")
-    small = mat @ mat.conj().T if mat.shape[0] <= mat.shape[1] else mat.conj().T @ mat
-    return fro2**2 / float(np.linalg.norm(small) ** 2)
+    # H and H^T have Grams of equal Frobenius norm: work on the wide one.
+    mat = np.ascontiguousarray(mat.T if mat.shape[0] > mat.shape[1] else mat)
+    x = mat.view(np.float64)
+    re_gram = x @ x.T  # a product with its own transpose: numpy calls BLAS syrk
+    gram2 = float(np.vdot(re_gram, re_gram))
+    del re_gram
+    im_gram = np.ascontiguousarray(mat.imag) @ np.ascontiguousarray(mat.real).T
+    im_gram -= im_gram.T  # numpy buffers the overlapping transpose
+    return fro2**2 / (gram2 + float(np.vdot(im_gram, im_gram)))

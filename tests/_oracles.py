@@ -63,3 +63,15 @@ def significant_count(eigenvalues, fraction: float = 0.01) -> int:
     if e.size == 0 or e[0] <= 0:
         return 0
     return int(np.count_nonzero(e > fraction * e[0]))
+
+
+def channel_dof_full_gram(h) -> float:
+    """Diversity gain (tr R / ||R||_f)^2 from the full complex Gram R = H H^H.
+
+    Takes the smaller of H H^H and H^H H, which share their nonzero
+    eigenvalues.
+    """
+    mat = np.asarray(h, dtype=np.complex128)
+    fro2 = float(np.linalg.norm(mat) ** 2)
+    small = mat @ mat.conj().T if mat.shape[0] <= mat.shape[1] else mat.conj().T @ mat
+    return fro2**2 / float(np.linalg.norm(small) ** 2)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,27 @@ def test_dof_and_correlation_subcommands(tmp_path):
     assert main(["correlation", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
     header, rows = read_rows(tmp_path / "correlation.csv")
     assert len(rows) == 2 * 3 * 16 * 16
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["channel"], ["correlation"], ["dof"], ["capacity", "--snr", "0:10:10"],
+     ["precode-sweep", "--snr", "0:10:10"]],
+    ids=lambda argv: argv[0],
+)
+def test_scenario_file_is_read_once(tmp_path, monkeypatch, argv):
+    scenario = write(tmp_path, "k3.cfg", K3_SCENARIO)
+    reads = []
+    original = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        if self == scenario:
+            reads.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    assert main(argv + ["--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+    assert len(reads) == 1
 
 
 def test_missing_scenario_file_exits_two(tmp_path, capsys):

@@ -1,11 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _oracles import significant_count
+from _oracles import channel_dof_full_gram, significant_count
+import hmimos
 from hmimos.channel import assemble_channel
-from hmimos.experiments import fig12_scenario, prepare_sweep, scheme_spectral_efficiency
+from hmimos.experiments import (
+    fig12_scenario,
+    fixed_area_square,
+    prepare_sweep,
+    scheme_spectral_efficiency,
+)
 from hmimos.geometry import Scenario, SurfaceSpec, UserPlacement
 from hmimos.metrics import (
     capacity,
@@ -89,6 +100,68 @@ def test_channel_dof_matches_eigen_participation():
     eigs = eigen_spectrum(h)
     expected = eigs.sum() ** 2 / np.sum(eigs**2)
     assert channel_dof(h) == pytest.approx(expected, rel=1e-10)
+
+
+def _svd_participation(h):
+    s2 = np.linalg.svd(np.asarray(h, dtype=np.complex128), compute_uv=False) ** 2
+    return s2.sum() ** 2 / np.sum(s2**2)
+
+
+def _dof_inputs():
+    rng = np.random.default_rng(113)
+
+    def cplx(m, n):
+        return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    wide = cplx(12, 30)
+    real = rng.standard_normal((9, 14))
+    return {
+        "wide": wide,
+        "square": cplx(20, 20),
+        "tall": cplx(33, 8),
+        "strided": cplx(10, 40)[:, ::2],
+        "fortran": np.asfortranarray(cplx(15, 25)),
+        "fortran-tall": np.asfortranarray(cplx(25, 15)),
+        "real": real,
+        "phase-times-real": np.exp(0.7j) * real,  # Im(H H^H) = 0
+        "phase-times-complex": np.exp(0.7j) * wide,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_dof_inputs()))
+def test_channel_dof_matches_svd_participation_ratio(name):
+    h = _dof_inputs()[name]
+    before = h.copy()
+    assert channel_dof(h) == pytest.approx(_svd_participation(h), rel=1e-12, abs=0)
+    assert np.array_equal(h, before)  # the input is read, never written
+
+
+def test_channel_dof_zero_channel_raises():
+    with pytest.raises(ValueError, match="zero channel"):
+        channel_dof(np.zeros((3, 5), dtype=complex))
+
+
+def test_channel_dof_matches_full_gram_on_fig10_pair():
+    spec = fixed_area_square(400, 10.0)
+    rx = replace(spec, center=(0.0, 0.0, 5.0), role="receive")
+    scenario = Scenario(wavelength=1.0, transmit=spec, users=(UserPlacement(rx, 5.0),))
+    h = assemble_channel(scenario).stacked()
+    assert channel_dof(h) == pytest.approx(channel_dof_full_gram(h), rel=1e-12, abs=0)
+
+
+def test_channel_dof_does_not_import_scipy():
+    code = (
+        "import sys, numpy as np, hmimos\n"
+        "h = np.arange(12.0).reshape(3, 4) * (1 + 1j)\n"
+        "assert hmimos.channel_dof(h) > 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = str(Path(hmimos.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_capacity_family_ordering_over_distance_grid():
