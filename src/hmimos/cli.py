@@ -3,8 +3,9 @@
 Subcommands expose each pipeline stage on a scenario file, plus the figure
 presets.  Exit codes: 0 success, 2 configuration/parse errors, 3 degenerate
 precoding scenarios, other numerical failures and running out of memory.
-Output CSVs are deterministic; HMIMOS_THREADS caps the sweep parallelism
-without changing results.
+Output CSVs are deterministic.  HMIMOS_THREADS sets the worker threads of
+the fig10 and fig11 DoF presets only, without changing results; every other
+pipeline runs on one thread.
 """
 
 from __future__ import annotations

@@ -128,8 +128,7 @@ def se_sweep(scenario: Scenario, schemes, pas, snrs_db, tol: float = DEFAULT_TOL
             raise ConfigError("user-cluster precoding needs a common per-user patch count")
     ctx = prepare_sweep(scenario, schemes, tol)
     grid = [(scheme, pa, snr) for scheme in schemes for pa in pas for snr in snrs_db]
-    values = parallel_map(lambda g: scheme_spectral_efficiency(ctx, *g), grid)
-    return [(s, p, snr, v) for (s, p, snr), v in zip(grid, values)]
+    return [(*g, scheme_spectral_efficiency(ctx, *g)) for g in grid]
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +182,10 @@ def dof_rows(scenario: Scenario):
 
 
 def capacity_rows(scenario: Scenario, snrs_db):
-    channel = assemble_channel(scenario)
-
-    def one(snr_db):
-        caps = capacity_families(channel, 10 ** (snr_db / 10.0))
-        return [(snr_db, fam, caps[fam]) for fam in ("tp", "dp", "single")]
-
-    return [row for chunk in parallel_map(one, list(snrs_db)) for row in chunk]
+    snrs_db = list(snrs_db)
+    caps = capacity_families(assemble_channel(scenario), 10 ** (np.array(snrs_db) / 10.0))
+    columns = [(fam, c.tolist()) for fam, c in caps.items()]
+    return [(snr_db, fam, c[i]) for i, snr_db in enumerate(snrs_db) for fam, c in columns]
 
 
 # ---------------------------------------------------------------------------

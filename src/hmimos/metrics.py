@@ -2,9 +2,9 @@
 eigenvalue spectra.
 
 Capacity comparisons are scale-invariant by construction: the channel is
-trace-normalized per family (||H||_f^2 = number of rows) and the SNR is
-shared equally over the transmit ports, so only ratios between families are
-meaningful.
+trace-normalized per family (||H||_f^2 = number of rows) and every family
+radiates the same total power at a given SNR, so only ratios between
+families are meaningful.
 """
 
 from __future__ import annotations
@@ -51,45 +51,43 @@ def total_spectral_efficiency(per_pol_singulars, pa: PowerAllocation, sigma2: fl
     )
 
 
-def capacity(h, snr: float, n_streams: int | None = None) -> float:
-    """Equal-power log-det capacity of a trace-normalized channel.
+def capacity(h, snr) -> float | np.ndarray:
+    """Log-det capacity of a trace-normalized channel at one SNR or an array of them.
 
     The channel is scaled so its squared Frobenius norm equals its row
-    count, and the SNR is divided by ``n_streams`` (the column count unless
-    given).  For an identity channel of size n this reduces to
-    n * log2(1 + snr / n).
+    count, and the whole (linear) SNR drives it under a total-power
+    constraint.  By Telatar's identity log2 det(I + snr H H^H) =
+    sum_i log2(1 + snr lambda_i), so one spectrum gives every SNR point.
+    For an identity channel of size n this is n * log2(1 + snr).  Returns a
+    float for a scalar ``snr`` and an array of ``snr``'s shape otherwise.
     """
-    if snr <= 0:
+    snrs = np.asarray(snr, dtype=float)
+    if np.any(snrs <= 0):
         raise ValueError("snr must be positive")
-    mat = np.asarray(h, dtype=np.complex128)
-    if mat.ndim != 2 or mat.size == 0:
-        raise ValueError("expected a nonempty matrix")
-    rows, cols = mat.shape
-    fro = np.linalg.norm(mat)
-    if fro == 0.0:
-        return 0.0
-    n_streams = cols if n_streams is None else n_streams
-    scaled = mat * (np.sqrt(rows) / fro)
-    gram = np.eye(rows) + (snr / n_streams) * (scaled @ scaled.conj().T)
-    sign, logdet = np.linalg.slogdet(gram)
-    return float(logdet / np.log(2.0))
+    lam = eigen_spectrum(h)
+    total = lam.sum()
+    if total > 0.0:  # a zero channel keeps lam = 0 and a capacity of 0
+        lam *= np.shape(h)[0] / total
+    caps = np.log1p(np.multiply.outer(snrs, lam)).sum(axis=-1) / np.log(2.0)
+    return float(caps) if caps.ndim == 0 else caps
 
 
-def capacity_families(channel: PolarizedChannel, snr: float) -> dict[str, float]:
+def capacity_families(channel: PolarizedChannel, snr) -> dict[str, float | np.ndarray]:
     """Capacity of the tri-, dual- and single-polarized sub-channels.
 
-    Families are compared under a common total-power constraint
-    (``n_streams = 1``): each trace-normalized family radiates the same
-    power, so the tri-polarized gain reflects its extra spatial dimensions
-    rather than a per-port power split.  In the polarization-major layout
-    the dual-polarized (x, y) and single-polarized (x) sub-channels are the
-    leading 2 N_r x 2 N_s and N_r x N_s sub-matrices.
+    ``snr`` is a linear SNR or an array of them, as :func:`capacity` takes.
+    Families are compared under a common total-power constraint: each
+    trace-normalized family radiates the same power, so the tri-polarized
+    gain reflects its extra spatial dimensions rather than a per-port power
+    split.  In the polarization-major layout the dual-polarized (x, y) and
+    single-polarized (x) sub-channels are the leading 2 N_r x 2 N_s and
+    N_r x N_s sub-matrices.
     """
     h, n_r, n_s = channel.matrix, channel.n_rx, channel.n_tx
     return {
-        "tp": capacity(h, snr, 1),
-        "dp": capacity(h[: 2 * n_r, : 2 * n_s], snr, 1),
-        "single": capacity(h[:n_r, :n_s], snr, 1),
+        "tp": capacity(h, snr),
+        "dp": capacity(h[: 2 * n_r, : 2 * n_s], snr),
+        "single": capacity(h[:n_r, :n_s], snr),
     }
 
 

@@ -75,3 +75,18 @@ def channel_dof_full_gram(h) -> float:
     fro2 = float(np.linalg.norm(mat) ** 2)
     small = mat @ mat.conj().T if mat.shape[0] <= mat.shape[1] else mat.conj().T @ mat
     return fro2**2 / float(np.linalg.norm(small) ** 2)
+
+
+def capacity_logdet(h, snr: float) -> float:
+    """log2 det(I + snr H H^H) of H trace-normalized to ||H||_f^2 = rows, at one SNR.
+
+    Forms the Gram matrix and its log-determinant, with no eigenvalues.
+    """
+    mat = np.asarray(h, dtype=np.complex128)
+    rows = mat.shape[0]
+    fro = np.linalg.norm(mat)
+    if fro == 0.0:
+        return 0.0
+    scaled = mat * (np.sqrt(rows) / fro)
+    _, logdet = np.linalg.slogdet(np.eye(rows) + snr * (scaled @ scaled.conj().T))
+    return float(logdet / np.log(2.0))

@@ -1,12 +1,26 @@
-"""Row builders of the CSV exports against the nested-loop builders they replaced."""
+"""Row builders of the CSV exports against the nested-loop builders they
+replaced, and the SNR-grid pipelines' thread use."""
 
 import math
 
 import pytest
 
+from hmimos import csvio
 from hmimos.channel import POLS, assemble_channel
 from hmimos.correlation import transmit_correlation
-from hmimos.experiments import CO_POLS, _correlation_cut, channel_rows, correlation_rows
+from hmimos.experiments import (
+    CO_POLS,
+    PA_NAMES,
+    SCHEMES,
+    SNR_GRID,
+    _correlation_cut,
+    _fig9_scenario,
+    capacity_rows,
+    channel_rows,
+    correlation_rows,
+    fig12_scenario,
+    se_sweep,
+)
 from hmimos.geometry import Scenario, SurfaceSpec, UserPlacement
 
 
@@ -76,3 +90,14 @@ def test_correlation_rows_match_the_nested_loops(mixed_scenario):
 def test_correlation_cut_matches_the_nested_loops():
     cuts = [(0.05, 0.05, 0.3), ("z=1", 0.4, 1.0)]
     assert_same_rows(_correlation_cut(cuts, CO_POLS), oracle_correlation_cut(cuts, CO_POLS))
+
+
+def test_snr_grid_pipelines_start_no_thread_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setenv(csvio.THREADS_ENV, "4")
+    monkeypatch.setattr(csvio, "ThreadPoolExecutor", refuse)
+    rows = se_sweep(fig12_scenario(), SCHEMES, PA_NAMES, SNR_GRID)
+    assert len(rows) == len(SCHEMES) * len(PA_NAMES) * len(SNR_GRID)
+    assert len(capacity_rows(_fig9_scenario(0.5), SNR_GRID)) == 3 * len(SNR_GRID)

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import channel_dof_full_gram, significant_count
+from _oracles import capacity_logdet, channel_dof_full_gram, significant_count
 import hmimos
 from hmimos.channel import assemble_channel
 from hmimos.experiments import (
+    _fig9_scenario,
     fig12_scenario,
     fixed_area_square,
     prepare_sweep,
@@ -48,7 +49,12 @@ def test_two_layer_beats_cluster_across_snr():
 def test_capacity_identity():
     for n in (2, 5):
         snr = 7.0
-        assert capacity(np.eye(n), snr) == pytest.approx(n * math.log2(1 + snr / n))
+        assert capacity(np.eye(n), snr) == pytest.approx(n * math.log2(1 + snr))
+
+
+def test_capacity_zero_channel_is_zero():
+    assert capacity(np.zeros((2, 3)), 5.0) == 0.0
+    assert np.array_equal(capacity(np.zeros((2, 3)), [1.0, 5.0]), [0.0, 0.0])
 
 
 def test_capacity_monotone_in_snr():
@@ -58,6 +64,61 @@ def test_capacity_monotone_in_snr():
     assert all(b > a for a, b in zip(caps, caps[1:]))
     with pytest.raises(ValueError):
         capacity(h, 0.0)
+    with pytest.raises(ValueError):
+        capacity(h, [1.0, 0.0])
+
+
+CAPACITY_SNRS = 10 ** (np.arange(-20.0, 31.0) / 10.0)  # -20:1:30 dB
+
+
+def family_matrices(channel):
+    """The tri-, dual- and single-polarized channels assembled from the nine blocks."""
+    b = channel.block
+    return {
+        "tp": np.block([[b(p, q) for q in "xyz"] for p in "xyz"]),
+        "dp": np.block([[b(p, q) for q in "xy"] for p in "xy"]),
+        "single": b("x", "x"),
+    }
+
+
+@pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 4.0])
+def test_capacity_families_match_the_logdet_oracle(z):
+    channel = assemble_channel(_fig9_scenario(z))
+    caps = capacity_families(channel, CAPACITY_SNRS)
+    for fam, mat in family_matrices(channel).items():
+        want = [capacity_logdet(mat, snr) for snr in CAPACITY_SNRS]
+        np.testing.assert_allclose(caps[fam], want, rtol=1e-13, atol=0)
+
+
+def random_4x6():
+    rng = np.random.default_rng(7)
+    return rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+
+
+def test_capacity_matches_the_logdet_oracle_on_a_random_matrix():
+    h = random_4x6()
+    want = [capacity_logdet(h, snr) for snr in CAPACITY_SNRS]
+    np.testing.assert_allclose(capacity(h, CAPACITY_SNRS), want, rtol=1e-13, atol=0)
+
+
+def test_capacity_array_call_equals_the_scalar_calls():
+    mats = family_matrices(assemble_channel(_fig9_scenario(0.5)))
+    mats["random"] = random_4x6()
+    for mat in mats.values():
+        caps = capacity(mat, CAPACITY_SNRS)
+        assert caps.shape == CAPACITY_SNRS.shape
+        assert caps.tolist() == [capacity(mat, snr) for snr in CAPACITY_SNRS.tolist()]
+
+
+@pytest.mark.parametrize("snr_db", [-60.0, -100.0, -300.0])
+def test_capacity_at_low_snr_matches_the_exact_sum(snr_db):
+    # A log-det of I + snr H H^H loses the snr-sized terms to rounding near 1.
+    mat = assemble_channel(_fig9_scenario(0.5)).matrix
+    lam = eigen_spectrum(mat)
+    lam *= mat.shape[0] / lam.sum()
+    snr = 10 ** (snr_db / 10.0)
+    want = math.fsum(math.log1p(snr * v) for v in lam.tolist()) / math.log(2.0)
+    assert capacity(mat, snr) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_capacity_family_ordering_near_field():
