@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import POLS, PolarizedChannel, assemble_channel
+from .channel import POLS, assemble_channel
 from .correlation import transmit_correlation
 from .csvio import parallel_map, write_csv
 from .errors import ConfigError
@@ -40,42 +40,23 @@ PA_NAMES = ("pa1", "pa2", "pa3")
 # ---------------------------------------------------------------------------
 # spectral-efficiency machinery
 
-def cluster_spectral_efficiency(channel: PolarizedChannel, link: ClusterLink, pa, sigma2: float) -> float:
+def cluster_spectral_efficiency(link: ClusterLink, pa, sigma2: float) -> float:
     """Sum rate of the cluster scheme including cross-polarized leakage.
 
-    Stream j of user k sees its own singular value as signal; every other
-    active stream interferes through the cross-polarized (or same-pol
-    inter-user) block projected on user k's receive combiner.
+    Each stream sees its own singular value as signal; every other user's
+    streams interfere through ``link.leakage``, weighted by their watts.
     """
-    total = 0.0
-    for k in range(channel.n_users):
-        qi = link.pol_of_user[k]
-        s = link.singulars[k]
-        offset = link.stream_offsets[k]
-        shares = pa.g[qi]
-        leak_per_stream = np.zeros(s.size)
-        for k2 in range(channel.n_users):
-            pi2 = link.pol_of_user[k2]
-            if k2 == k:
-                continue
-            cross = channel.user_block(POLS[qi], POLS[pi2], k)
-            proj = link.combiners[k].conj().T @ cross @ link.precoders[k2]
-            off2 = link.stream_offsets[k2]
-            n2 = link.singulars[k2].size
-            weights = pa.q[pi2] * pa.g[pi2][off2 : off2 + n2]
-            leak_per_stream += (np.abs(proj[: s.size, :n2]) ** 2) @ weights
-        for j in range(s.size):
-            signal = pa.q[qi] * shares[offset + j] * s[j] ** 2
-            total += math.log2(1.0 + signal / (leak_per_stream[j] + sigma2))
-    return total
+    watts = np.concatenate([pa.q[i] * pa.g[i] for i in range(3)])
+    edges = np.cumsum([s.size for s in link.singulars[:2]])
+    leak = np.split(link.leakage @ watts, edges)
+    return total_spectral_efficiency(link.singulars, pa, sigma2, leak)
 
 
 @dataclass(frozen=True)
 class SweepContext:
-    """Channel, cluster link and normalized spectra shared by one sweep."""
+    """Normalized spectra and cluster link shared by one sweep."""
 
     scenario: Scenario
-    channel: PolarizedChannel  # rescaled
     spectra: dict[str, list[np.ndarray]]  # per scheme, one array per polarization
     link: ClusterLink | None
 
@@ -87,13 +68,13 @@ def prepare_sweep(scenario: Scenario, schemes=SCHEMES, tol: float = DEFAULT_TOL)
     n_tot = sum(s.size for s in spectra)
     sum2 = sum(float(np.sum(s**2)) for s in spectra)
     scale = math.sqrt(GAIN_HEADROOM * n_tot**2 / sum2)
-    scaled = replace(channel, matrix=channel.matrix * scale)
     by_scheme = {"two-layer": [s * scale for s in spectra]}
     link = None
     if "uc" in schemes:
+        scaled = replace(channel, matrix=channel.matrix * scale)
         link = cluster_link(scaled, [u.distance for u in scenario.users])
-        by_scheme["uc"] = [link.pooled_singulars(i) for i in range(3)]
-    return SweepContext(scenario=scenario, channel=scaled, spectra=by_scheme, link=link)
+        by_scheme["uc"] = list(link.singulars)
+    return SweepContext(scenario=scenario, spectra=by_scheme, link=link)
 
 
 def scheme_spectral_efficiency(ctx: SweepContext, scheme: str, pa_name: str, snr_db: float) -> float:
@@ -110,17 +91,22 @@ def scheme_spectral_efficiency(ctx: SweepContext, scheme: str, pa_name: str, snr
         pa = pa3_two_layer(squared, budget, sigma2)
     if scheme == "two-layer":
         return total_spectral_efficiency(spectra, pa, sigma2)
-    return cluster_spectral_efficiency(ctx.channel, ctx.link, pa, sigma2)
+    return cluster_spectral_efficiency(ctx.link, pa, sigma2)
 
 
 def se_sweep(scenario: Scenario, schemes, pas, snrs_db, tol: float = DEFAULT_TOL):
     """Rows (scheme, pa, snr_db, spectral_efficiency) over the sweep grid."""
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ConfigError(f"unknown precoding scheme {scheme!r}")
-    for pa_name in pas:
-        if pa_name not in PA_NAMES:
-            raise ConfigError(f"unknown power allocation {pa_name!r}")
+    for flag, names, known, what in (
+        ("--schemes", schemes, SCHEMES, "precoding scheme"),
+        ("--pa", pas, PA_NAMES, "power allocation"),
+    ):
+        if not names:
+            raise ConfigError(f"{flag} names no {what}")
+        for name in names:
+            if name not in known:
+                raise ConfigError(f"unknown {what} {name!r}")
+        if len(set(names)) < len(names):
+            raise ConfigError(f"{flag} names a {what} more than once: {','.join(names)}")
     if "uc" in schemes:
         if scenario.n_users % 3 != 0:
             raise ConfigError("K must be divisible by 3 for user-cluster precoding")

@@ -28,26 +28,34 @@ def eigen_spectrum(block) -> np.ndarray:
     return np.linalg.svd(mat, compute_uv=False) ** 2
 
 
-def spectral_efficiency(singulars, q: float, g, sigma2: float) -> float:
-    """Sum-rate of one co-polarization: sum_j log2(1 + q g_j s_j^2 / sigma2).
+def spectral_efficiency(singulars, q: float, g, sigma2) -> float:
+    """Sum-rate of one co-polarization: sum_j log2(1 + q g_j s_j^2 / sigma2_j).
 
-    ``singulars`` are stream singular values (amplitudes) and ``g`` the
-    matching per-stream shares; surplus entries on either side carry no
-    power and are ignored.
+    ``singulars`` are stream singular values (amplitudes), ``g`` the
+    matching per-stream shares, one per singular value, and ``sigma2`` the
+    noise power, shared or per stream.
     """
     s = np.asarray(singulars, dtype=float)
     shares = np.asarray(g, dtype=float)
-    n = min(s.size, shares.size)
-    if n == 0 or q <= 0:
+    if s.shape != shares.shape:
+        raise ValueError(f"{s.size} singular values but {shares.size} stream shares")
+    if s.size == 0 or q <= 0:
         return 0.0
-    snr = q * shares[:n] * s[:n] ** 2 / sigma2
+    snr = q * shares * s**2 / sigma2
     return float(np.sum(np.log2(1.0 + snr)))
 
 
-def total_spectral_efficiency(per_pol_singulars, pa: PowerAllocation, sigma2: float) -> float:
-    """Total rate over the three co-polarizations."""
+def total_spectral_efficiency(
+    per_pol_singulars, pa: PowerAllocation, sigma2: float, interference=(0.0, 0.0, 0.0)
+) -> float:
+    """Total rate over the three co-polarizations.
+
+    ``interference[i]`` is the power that polarization i's streams receive
+    from other streams, shared or per stream; it adds to the noise.
+    """
     return sum(
-        spectral_efficiency(per_pol_singulars[i], pa.q[i], pa.g[i], sigma2) for i in range(3)
+        spectral_efficiency(per_pol_singulars[i], pa.q[i], pa.g[i], sigma2 + interference[i])
+        for i in range(3)
     )
 
 

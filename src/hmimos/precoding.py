@@ -4,7 +4,9 @@ Two schemes:
 
 * user clustering: users are dealt round-robin (by distance) onto the three
   polarizations; each user is served by the SVD transceivers of its own
-  co-polarized sub-channel.
+  co-polarized sub-channel.  Nothing is nulled, so every stream leaks into
+  the other users' streams through the co- and cross-polarized blocks; one
+  streams x streams matrix of power gains records that leakage.
 * two-layer precoding: an elimination layer places the transmit matrix in
   the null space of the cross-polarized system, then block diagonalization
   over the (polarization, user) groups removes inter-user and residual
@@ -48,47 +50,47 @@ def cluster_users(distances) -> tuple[tuple[int, ...], tuple[int, ...], tuple[in
 
 @dataclass(frozen=True)
 class ClusterLink:
-    """Per-user SVD transceivers of the user-cluster scheme."""
+    """Stream gains and stream-to-stream leakage of the user-cluster scheme.
 
-    subsets: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # users per polarization
-    pol_of_user: tuple[int, ...]
-    stream_offsets: tuple[int, ...]  # first stream of each user within its polarization
-    combiners: tuple[np.ndarray, ...]  # U per user
-    singulars: tuple[np.ndarray, ...]
-    precoders: tuple[np.ndarray, ...]  # V per user (N_s x streams)
+    Streams run by polarization, then by user in :func:`cluster_users`
+    order, then by singular value.
+    """
 
-    def pooled_singulars(self, pol_index: int) -> np.ndarray:
-        vals = [self.singulars[k] for k in self.subsets[pol_index]]
-        return np.concatenate(vals) if vals else np.zeros(0)
+    singulars: tuple[np.ndarray, np.ndarray, np.ndarray]  # per polarization, pooled over its users
+    leakage: np.ndarray  # streams x streams power gain, 0 between streams of one user
 
 
 def cluster_link(channel: PolarizedChannel, distances) -> ClusterLink:
-    """Cluster the users and take each one's SVD on its own co-polarized block."""
-    subsets = cluster_users(distances)
-    pol_of_user = [0] * channel.n_users
-    offsets = [0] * channel.n_users
-    combiners: list[np.ndarray] = [None] * channel.n_users  # type: ignore[list-item]
-    singulars: list[np.ndarray] = list(combiners)
-    precoders: list[np.ndarray] = list(combiners)
-    for pol_index, members in enumerate(subsets):
-        pol = POLS[pol_index]
-        offset = 0
-        for k in members:
-            u, s, vh = np.linalg.svd(channel.user_block(pol, pol, k), full_matrices=False)
-            pol_of_user[k] = pol_index
-            offsets[k] = offset
-            offset += s.size
-            combiners[k] = u
-            singulars[k] = s
-            precoders[k] = vh.conj().T
-    return ClusterLink(
-        subsets=subsets,
-        pol_of_user=tuple(pol_of_user),
-        stream_offsets=tuple(offsets),
-        combiners=tuple(combiners),
-        singulars=tuple(singulars),
-        precoders=tuple(precoders),
+    """Cluster the users and take each one's SVD on its own co-polarized block.
+
+    U (3 N_r x S) holds each user's combiner on its own polarization's rows
+    and V (3 N_s x S) its precoder on that polarization's columns, so entry
+    (j, j2) of the leakage |U^H H V|^2 is the power gain from stream j2 into
+    stream j through the co- or cross-polarized block between the two users.
+    A user's own diagonal block is diag(s)^2, its signal rather than
+    leakage, so it is set to 0.
+    """
+    n_r, n_s = channel.n_rx, channel.n_tx
+    svds = [
+        (i, k, np.linalg.svd(channel.user_block(pol, pol, k), full_matrices=False))
+        for i, (pol, members) in enumerate(zip(POLS, cluster_users(distances)))
+        for k in members
+    ]
+    edges = [0, *accumulate(s.size for _, _, (_, s, _) in svds)]
+    streams = list(map(slice, edges[:-1], edges[1:]))
+    combiners = np.zeros((3, n_r, edges[-1]), dtype=np.complex128)
+    precoders = np.zeros((3, n_s, edges[-1]), dtype=np.complex128)
+    for (i, k, (u, _, vh)), cols in zip(svds, streams):
+        combiners[i, channel.user_rows(k), cols] = u
+        precoders[i, :, cols] = vh.conj().T
+    u_mat, v_mat = combiners.reshape(3 * n_r, -1), precoders.reshape(3 * n_s, -1)
+    leakage = np.abs(u_mat.conj().T @ channel.matrix @ v_mat) ** 2
+    for cols in streams:
+        leakage[cols, cols] = 0.0
+    singulars = tuple(
+        np.concatenate([s for pol, _, (_, s, _) in svds if pol == i]) for i in range(3)
     )
+    return ClusterLink(singulars=singulars, leakage=leakage)
 
 
 def cross_polar_system(channel: PolarizedChannel) -> np.ndarray:

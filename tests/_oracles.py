@@ -8,8 +8,10 @@ import math
 
 import numpy as np
 
+from hmimos.channel import POLS
 from hmimos.correlation import transmit_correlation
 from hmimos.errors import SingularityError
+from hmimos.precoding import cluster_users
 
 
 def scalar_green(r, rp, k0: float) -> complex:
@@ -90,3 +92,40 @@ def capacity_logdet(h, snr: float) -> float:
     scaled = mat * (np.sqrt(rows) / fro)
     _, logdet = np.linalg.slogdet(np.eye(rows) + snr * (scaled @ scaled.conj().T))
     return float(logdet / np.log(2.0))
+
+
+def cluster_transceivers(channel, distances):
+    """Per-user SVD (pol index, user, U, s, V) of the user-cluster scheme, in
+    stream order: by polarization, then by user in ``cluster_users`` order."""
+    out = []
+    for i, members in enumerate(cluster_users(distances)):
+        for k in members:
+            u, s, vh = np.linalg.svd(channel.user_block(POLS[i], POLS[i], k), full_matrices=False)
+            out.append((i, k, u, s, vh.conj().T))
+    return out
+
+
+def cluster_sum_rate(channel, distances, pa, sigma2: float) -> float:
+    """Sum rate of the user-cluster scheme, one user pair at a time.
+
+    Stream j of user k sees its own singular value as signal; every other
+    user k2 interferes through |U_k^H H_{q_k q_k2} V_k2|^2 weighted by the
+    watts of k2's streams.  Takes its own per-user SVDs from the channel.
+    """
+    users = {}
+    offsets = [0, 0, 0]
+    for i, k, u, s, v in cluster_transceivers(channel, distances):
+        users[k] = (i, offsets[i], u, s, v)
+        offsets[i] += s.size
+    total = 0.0
+    for k, (qi, offset, u, s, _) in users.items():
+        leak = np.zeros(s.size)
+        for k2, (q2, off2, _, s2, v2) in users.items():
+            if k2 == k:
+                continue
+            proj = u.conj().T @ channel.user_block(POLS[qi], POLS[q2], k) @ v2
+            leak += np.abs(proj) ** 2 @ (pa.q[q2] * pa.g[q2][off2 : off2 + s2.size])
+        for j in range(s.size):
+            signal = pa.q[qi] * pa.g[qi][offset + j] * s[j] ** 2
+            total += math.log2(1.0 + signal / (leak[j] + sigma2))
+    return total

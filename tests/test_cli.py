@@ -107,6 +107,24 @@ def test_two_layer_pa2_accepts_mixed_patch_counts(tmp_path):
     assert all(float(r[3]) > 0 for r in rows)
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--schemes", "", "--schemes names no precoding scheme"),
+        ("--pa", "", "--pa names no power allocation"),
+        ("--schemes", "uc,uc", "--schemes names a precoding scheme more than once"),
+        ("--pa", "pa1,pa3,pa1", "--pa names a power allocation more than once"),
+    ],
+    ids=["empty-schemes", "empty-pa", "repeated-scheme", "repeated-pa"],
+)
+def test_precode_sweep_refuses_empty_or_repeated_lists(tmp_path, capsys, flag, value, message):
+    scenario = write(tmp_path, "k3.cfg", K3_SCENARIO)
+    argv = ["precode-sweep", "--scenario", str(scenario), "--out", str(tmp_path)]
+    assert main(argv + [f"{flag}={value}"]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cluster_scheme_requires_common_patch_count(tmp_path, capsys):
     scenario = write(tmp_path, "mixed.cfg", K3_SCENARIO + "user3.nx = 2\n")
     argv = ["precode-sweep", "--scenario", str(scenario), "--out", str(tmp_path)]

@@ -38,6 +38,12 @@ def test_spectral_efficiency_zero_power():
     assert spectral_efficiency([], q=1.0, g=[], sigma2=1.0) == 0.0
 
 
+@pytest.mark.parametrize("shares", [[0.5], [0.5, 0.3, 0.2]])
+def test_spectral_efficiency_refuses_a_length_mismatch(shares):
+    with pytest.raises(ValueError, match="singular values but"):
+        spectral_efficiency([2.0, 1.0], q=1.0, g=shares, sigma2=1.0)
+
+
 def test_two_layer_beats_cluster_across_snr():
     ctx = prepare_sweep(fig12_scenario())
     for snr_db in (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import cluster_transceivers
 from _support import random_nf_scenario, two_user_scenario
 from hmimos.channel import POLS, assemble_channel
 from hmimos.errors import CapacityExceededError, ConfigError, PrecoderDegeneracyError
@@ -102,22 +103,28 @@ def _seed_pooled_singulars(channel, tol=1e-10):
 def test_cluster_subchannel_shapes_and_rows():
     scenario = _k3_scenario(n_side=4)
     channel = assemble_channel(scenario)
-    link = cluster_link(channel, [u.distance for u in scenario.users])
-    covered = []
-    for i, (pol, members) in enumerate(zip(POLS, link.subsets)):
-        offset = 0
-        for user in members:
-            u, s, v = link.combiners[user], link.singulars[user], link.precoders[user]
-            assert link.pol_of_user[user] == i
-            assert link.stream_offsets[user] == offset
-            assert (u.shape, s.shape, v.shape) == ((4, 4), (4,), (16, 4))
-            # each user is served by the SVD of its own co-polarized rows
-            block = channel.block(pol, pol)[channel.user_rows(user)]
-            assert np.allclose((u * s) @ v.conj().T, block, atol=1e-14)
-            offset += s.size
-        assert np.array_equal(link.pooled_singulars(i), np.concatenate([link.singulars[k] for k in members]))
-        covered.extend(members)
-    assert sorted(covered) == [0, 1, 2]
+    distances = [u.distance for u in scenario.users]
+    link = cluster_link(channel, distances)
+    users = cluster_transceivers(channel, distances)
+    assert sorted(k for _, k, *_ in users) == [0, 1, 2]
+    # each polarization pools its members' co-polarized block SVDs, in order
+    for i in range(3):
+        pooled = [s for pol, _, _, s, _ in users if pol == i]
+        assert np.array_equal(link.singulars[i], np.concatenate(pooled))
+    assert [s.shape for *_, s, _ in users] == [(4,)] * 3
+    edges = np.cumsum([0] + [s.size for *_, s, _ in users])
+    assert link.leakage.shape == (edges[-1], edges[-1])
+    scale = link.leakage.max()
+    assert scale > 0.0
+    for a, (pol_a, k, u, _, _) in enumerate(users):
+        for b, (pol_b, _, _, _, v) in enumerate(users):
+            got = link.leakage[edges[a] : edges[a + 1], edges[b] : edges[b + 1]]
+            if a == b:
+                assert np.all(got == 0.0)
+            else:
+                block = channel.user_block(POLS[pol_a], POLS[pol_b], k)
+                want = np.abs(u.conj().T @ block @ v) ** 2
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 def test_first_layer_cancellation_residual():
