@@ -125,7 +125,7 @@ class PolarizedChannel:
 
     @cached_property
     def blocks(self) -> np.ndarray:
-        """(3, 3, N_r, N_s) view of ``matrix``, made once: the SE loops index it per user pair."""
+        """(3, 3, N_r, N_s) view of ``matrix``, made once; :meth:`block` indexes it."""
         return block_view(self.matrix)
 
     def user_rows(self, k: int) -> slice:

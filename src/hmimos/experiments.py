@@ -30,7 +30,7 @@ from .geometry import Scenario, SurfaceSpec, UserPlacement
 from .metrics import capacity_families, channel_dof, eigen_spectrum, total_spectral_efficiency
 from .numerics import DEFAULT_TOL
 from .power import pa1_select, pa2_equal, pa3_two_layer
-from .precoding import ClusterLink, cluster_link, two_layer_precoder
+from .precoding import StreamLink, cluster_link, cluster_users, two_layer_precoder
 
 GAIN_HEADROOM = 100.0
 SCHEMES = ("two-layer", "uc")
@@ -40,58 +40,59 @@ PA_NAMES = ("pa1", "pa2", "pa3")
 # ---------------------------------------------------------------------------
 # spectral-efficiency machinery
 
-def cluster_spectral_efficiency(link: ClusterLink, pa, sigma2: float) -> float:
-    """Sum rate of the cluster scheme including cross-polarized leakage.
+def cluster_spectral_efficiency(link: StreamLink, watts, sigma2: float) -> float:
+    """Sum rate of a stream link, of either scheme, including its leakage.
 
     Each stream sees its own singular value as signal; every other user's
     streams interfere through ``link.leakage``, weighted by their watts.
     """
-    watts = np.concatenate([pa.q[i] * pa.g[i] for i in range(3)])
-    edges = np.cumsum([s.size for s in link.singulars[:2]])
-    leak = np.split(link.leakage @ watts, edges)
-    return total_spectral_efficiency(link.singulars, pa, sigma2, leak)
+    return total_spectral_efficiency(
+        link.singulars, watts, sigma2, link.leakage @ np.concatenate(watts)
+    )
 
 
 @dataclass(frozen=True)
 class SweepContext:
-    """Normalized spectra and cluster link shared by one sweep."""
+    """Headroom-scaled stream links of one sweep, one per scheme."""
 
     scenario: Scenario
-    spectra: dict[str, list[np.ndarray]]  # per scheme, one array per polarization
-    link: ClusterLink | None
+    links: dict[str, StreamLink]
 
 
 def prepare_sweep(scenario: Scenario, schemes=SCHEMES, tol: float = DEFAULT_TOL) -> SweepContext:
+    """Each scheme's stream link at the gain headroom of the two-layer gains.
+
+    Both links come from the unscaled channel: a channel scaled by c scales
+    the stream gains by c and the leakage powers by c^2.  Two-layer streams
+    leak nothing.
+    """
     channel = assemble_channel(scenario)
-    pre = two_layer_precoder(channel, tol)
-    spectra = list(pre.singulars)
-    n_tot = sum(s.size for s in spectra)
-    sum2 = sum(float(np.sum(s**2)) for s in spectra)
+    gains = two_layer_precoder(channel, tol).singulars
+    n_tot = sum(s.size for s in gains)
+    sum2 = sum(float(np.sum(s**2)) for s in gains)
     scale = math.sqrt(GAIN_HEADROOM * n_tot**2 / sum2)
-    by_scheme = {"two-layer": [s * scale for s in spectra]}
-    link = None
+    links = {"two-layer": StreamLink(gains, np.zeros((n_tot, n_tot)))}
     if "uc" in schemes:
-        scaled = replace(channel, matrix=channel.matrix * scale)
-        link = cluster_link(scaled, [u.distance for u in scenario.users])
-        by_scheme["uc"] = list(link.singulars)
-    return SweepContext(scenario=scenario, spectra=by_scheme, link=link)
+        links["uc"] = cluster_link(channel, [u.distance for u in scenario.users])
+    return SweepContext(scenario, {
+        name: StreamLink(tuple(s * scale for s in link.singulars), link.leakage * scale**2)
+        for name, link in links.items()
+    })
 
 
 def scheme_spectral_efficiency(ctx: SweepContext, scheme: str, pa_name: str, snr_db: float) -> float:
     """SE of one sweep point; ``scheme`` and ``pa_name`` are names :func:`se_sweep` accepts."""
     budget = ctx.scenario.total_power
     sigma2 = budget / 10 ** (snr_db / 10.0)
-    spectra = ctx.spectra[scheme]
-    squared = [s**2 for s in spectra]
+    link = ctx.links[scheme]
+    squared = [s**2 for s in link.singulars]
     if pa_name == "pa1":
-        pa = pa1_select(squared, budget, sigma2)
+        watts = pa1_select(squared, budget, sigma2)
     elif pa_name == "pa2":
-        pa = pa2_equal([s.size for s in spectra], budget)
+        watts = pa2_equal([s.size for s in squared], budget)
     else:
-        pa = pa3_two_layer(squared, budget, sigma2)
-    if scheme == "two-layer":
-        return total_spectral_efficiency(spectra, pa, sigma2)
-    return cluster_spectral_efficiency(ctx.link, pa, sigma2)
+        watts = pa3_two_layer(squared, budget, sigma2)
+    return cluster_spectral_efficiency(link, watts, sigma2)
 
 
 def se_sweep(scenario: Scenario, schemes, pas, snrs_db, tol: float = DEFAULT_TOL):
@@ -107,11 +108,8 @@ def se_sweep(scenario: Scenario, schemes, pas, snrs_db, tol: float = DEFAULT_TOL
                 raise ConfigError(f"unknown {what} {name!r}")
         if len(set(names)) < len(names):
             raise ConfigError(f"{flag} names a {what} more than once: {','.join(names)}")
-    if "uc" in schemes:
-        if scenario.n_users % 3 != 0:
-            raise ConfigError("K must be divisible by 3 for user-cluster precoding")
-        if len({u.surface.count for u in scenario.users}) != 1:
-            raise ConfigError("user-cluster precoding needs a common per-user patch count")
+    if "uc" in schemes:  # refuse a user count that cannot be clustered before precoding
+        cluster_users([u.distance for u in scenario.users])
     ctx = prepare_sweep(scenario, schemes, tol)
     grid = [(scheme, pa, snr) for scheme in schemes for pa in pas for snr in snrs_db]
     return [(*g, scheme_spectral_efficiency(ctx, *g)) for g in grid]

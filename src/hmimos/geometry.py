@@ -99,6 +99,15 @@ class Scenario:
         if self.total_power <= 0:
             raise GeometryError("total power must be positive")
         object.__setattr__(self, "users", tuple(self.users))
+        # The channel reads each user's height from its surface, the clustering
+        # and the correlation read ``distance``: the two must agree.
+        for k, user in enumerate(self.users, start=1):
+            height = user.surface.center[2] - self.transmit.center[2]
+            if abs(user.distance - height) > 1e-12 * user.distance:
+                raise GeometryError(
+                    f"user {k}: distance {user.distance!r} differs from its surface's "
+                    f"height {height!r} above the transmitter"
+                )
 
     @property
     def k0(self) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import PolarizedChannel
-from .power import PowerAllocation
 
 
 def eigen_spectrum(block) -> np.ndarray:
@@ -28,35 +27,20 @@ def eigen_spectrum(block) -> np.ndarray:
     return np.linalg.svd(mat, compute_uv=False) ** 2
 
 
-def spectral_efficiency(singulars, q: float, g, sigma2) -> float:
-    """Sum-rate of one co-polarization: sum_j log2(1 + q g_j s_j^2 / sigma2_j).
+def total_spectral_efficiency(per_pol_singulars, watts, sigma2: float, interference=0.0) -> float:
+    """Sum rate over the three co-polarizations: sum_j log2(1 + p_j s_j^2 / (sigma2 + leak_j)).
 
-    ``singulars`` are stream singular values (amplitudes), ``g`` the
-    matching per-stream shares, one per singular value, and ``sigma2`` the
-    noise power, shared or per stream.
+    ``per_pol_singulars`` and ``watts`` hold one array per polarization: the
+    stream singular values (amplitudes) and the matching per-stream watts.
+    ``interference`` (leak_j) is the power each stream receives from other
+    streams, shared or one per stream in polarization order.
     """
-    s = np.asarray(singulars, dtype=float)
-    shares = np.asarray(g, dtype=float)
-    if s.shape != shares.shape:
-        raise ValueError(f"{s.size} singular values but {shares.size} stream shares")
-    if s.size == 0 or q <= 0:
-        return 0.0
-    snr = q * shares * s**2 / sigma2
+    for i, (s, p) in enumerate(zip(per_pol_singulars, watts, strict=True)):
+        if np.size(s) != np.size(p):
+            raise ValueError(f"pol {i}: {np.size(s)} singular values but {np.size(p)} stream watts")
+    s = np.concatenate(per_pol_singulars)
+    snr = np.concatenate(watts) * s**2 / np.add(sigma2, interference)
     return float(np.sum(np.log2(1.0 + snr)))
-
-
-def total_spectral_efficiency(
-    per_pol_singulars, pa: PowerAllocation, sigma2: float, interference=(0.0, 0.0, 0.0)
-) -> float:
-    """Total rate over the three co-polarizations.
-
-    ``interference[i]`` is the power that polarization i's streams receive
-    from other streams, shared or per stream; it adds to the noise.
-    """
-    return sum(
-        spectral_efficiency(per_pol_singulars[i], pa.q[i], pa.g[i], sigma2 + interference[i])
-        for i in range(3)
-    )
 
 
 def capacity(h, snr) -> float | np.ndarray:

@@ -9,14 +9,11 @@ Three schemes:
 * PA3 water-fills twice: first over the per-polarization Frobenius gains,
   then over the singular values pooled within each polarization.
 
-A :class:`PowerAllocation` stores the per-polarization watts ``q`` and
-per-stream shares ``g`` (each polarization's shares sum to one), so the
-physical power of stream i of polarization p is ``q[p] * g[p][i]``.
+Each scheme returns the watts of every stream: a tuple of three arrays, one
+per polarization, indexed like that polarization's stream gains.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,56 +53,42 @@ def water_fill(gains, budget: float, sigma2: float):
     return powers, float(eps)
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Per-polarization watts and per-stream shares for one scheme."""
-
-    q: np.ndarray  # (3,) watts, sums to the budget
-    g: tuple[np.ndarray, np.ndarray, np.ndarray]  # shares, each sums to 1 (or all 0)
-
-
-def _waterfill_shares(gains: np.ndarray, budget: float, sigma2: float) -> np.ndarray:
-    """Water-fill a polarization's streams, returned as unit shares."""
-    if budget <= 0 or gains.size == 0 or not np.any(gains > 0):
+def _water_fill_or_zero(gains: np.ndarray, budget: float, sigma2: float) -> np.ndarray:
+    """Water-filled watts, or all zeros without a budget or a positive gain."""
+    if budget <= 0 or not np.any(gains > 0):
         return np.zeros(gains.size)
-    powers, _ = water_fill(gains, budget, sigma2)
-    return powers / budget
+    return water_fill(gains, budget, sigma2)[0]
 
 
-def pa1_select(spectra, budget: float = 1.0, sigma2: float = 1.0) -> PowerAllocation:
+def pa1_select(spectra, budget: float = 1.0, sigma2: float = 1.0) -> tuple[np.ndarray, ...]:
     """Polarization selection: the whole budget on the strongest polarization.
 
     ``spectra`` holds the squared singular values of the three effective
     co-polarized channels.  The polarization with the largest squared
     Frobenius norm (sum of the spectrum) wins; ties go to the lowest index
-    (x before y before z).  Its streams are water-filled.
+    (x before y before z).  Its streams are water-filled; the others get 0 W.
     """
     spectra = [np.asarray(s, dtype=float) for s in spectra]
     norms = np.array([float(np.sum(s)) for s in spectra])
     if not np.any(norms > 0):
         raise ValueError("all effective channels are zero")
     sel = int(np.argmax(norms))
-    q = np.zeros(3)
-    q[sel] = budget
-    g = tuple(
-        _waterfill_shares(spec, budget, sigma2) if i == sel else np.zeros(spec.size)
+    return tuple(
+        _water_fill_or_zero(spec, budget, sigma2) if i == sel else np.zeros(spec.size)
         for i, spec in enumerate(spectra)
     )
-    return PowerAllocation(q=q, g=g)
 
 
-def pa2_equal(stream_counts, budget: float = 1.0) -> PowerAllocation:
+def pa2_equal(stream_counts, budget: float = 1.0) -> tuple[np.ndarray, ...]:
     """Equal split: budget / 3 per polarization, uniform over its streams.
 
     ``stream_counts`` holds the stream count of each of the three effective
-    channels; a polarization without streams gets empty shares.
+    channels; a polarization without streams gets an empty array.
     """
-    q = np.full(3, budget / 3.0)
-    g = tuple(np.full(c, 1.0 / c) if c > 0 else np.zeros(0) for c in stream_counts)
-    return PowerAllocation(q=q, g=g)
+    return tuple(np.full(c, budget / (3.0 * c)) if c > 0 else np.zeros(0) for c in stream_counts)
 
 
-def pa3_two_layer(spectra, budget: float = 1.0, sigma2: float = 1.0) -> PowerAllocation:
+def pa3_two_layer(spectra, budget: float = 1.0, sigma2: float = 1.0) -> tuple[np.ndarray, ...]:
     """Two-layer allocation: water filling over polarizations, then streams.
 
     ``spectra`` holds the squared singular values of the three effective
@@ -119,5 +102,4 @@ def pa3_two_layer(spectra, budget: float = 1.0, sigma2: float = 1.0) -> PowerAll
     if not np.any(norms > 0):
         raise ValueError("all effective channels are zero")
     q, _ = water_fill(norms, budget, sigma2)
-    g = tuple(_waterfill_shares(spec, q[i], sigma2) for i, spec in enumerate(spectra))
-    return PowerAllocation(q=q, g=g)
+    return tuple(_water_fill_or_zero(spec, q[i], sigma2) for i, spec in enumerate(spectra))

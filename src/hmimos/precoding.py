@@ -49,18 +49,17 @@ def cluster_users(distances) -> tuple[tuple[int, ...], tuple[int, ...], tuple[in
 
 
 @dataclass(frozen=True)
-class ClusterLink:
-    """Stream gains and stream-to-stream leakage of the user-cluster scheme.
+class StreamLink:
+    """Stream gains and stream-to-stream leakage of one precoding scheme.
 
-    Streams run by polarization, then by user in :func:`cluster_users`
-    order, then by singular value.
+    Streams run by polarization, then by user, then by singular value.
     """
 
     singulars: tuple[np.ndarray, np.ndarray, np.ndarray]  # per polarization, pooled over its users
     leakage: np.ndarray  # streams x streams power gain, 0 between streams of one user
 
 
-def cluster_link(channel: PolarizedChannel, distances) -> ClusterLink:
+def cluster_link(channel: PolarizedChannel, distances) -> StreamLink:
     """Cluster the users and take each one's SVD on its own co-polarized block.
 
     U (3 N_r x S) holds each user's combiner on its own polarization's rows
@@ -68,7 +67,7 @@ def cluster_link(channel: PolarizedChannel, distances) -> ClusterLink:
     (j, j2) of the leakage |U^H H V|^2 is the power gain from stream j2 into
     stream j through the co- or cross-polarized block between the two users.
     A user's own diagonal block is diag(s)^2, its signal rather than
-    leakage, so it is set to 0.
+    leakage, so it is set to 0.  Users run in :func:`cluster_users` order.
     """
     n_r, n_s = channel.n_rx, channel.n_tx
     svds = [
@@ -90,7 +89,7 @@ def cluster_link(channel: PolarizedChannel, distances) -> ClusterLink:
     singulars = tuple(
         np.concatenate([s for pol, _, (_, s, _) in svds if pol == i]) for i in range(3)
     )
-    return ClusterLink(singulars=singulars, leakage=leakage)
+    return StreamLink(singulars=singulars, leakage=leakage)
 
 
 def cross_polar_system(channel: PolarizedChannel) -> np.ndarray:

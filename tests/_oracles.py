@@ -11,7 +11,7 @@ import numpy as np
 from hmimos.channel import POLS
 from hmimos.correlation import transmit_correlation
 from hmimos.errors import SingularityError
-from hmimos.precoding import cluster_users
+from hmimos.precoding import cluster_users, two_layer_precoder
 
 
 def scalar_green(r, rp, k0: float) -> complex:
@@ -105,12 +105,27 @@ def cluster_transceivers(channel, distances):
     return out
 
 
-def cluster_sum_rate(channel, distances, pa, sigma2: float) -> float:
+def two_layer_sum_rate(channel, watts, sigma2: float) -> float:
+    """Sum rate of the two-layer scheme, one stream at a time.
+
+    Its streams leak nothing into each other, so stream j of polarization p
+    sees only its BD gain s_j and the noise: log2(1 + p_j s_j^2 / sigma2).
+    Takes the gains from ``two_layer_precoder`` on the channel.
+    """
+    total = 0.0
+    for gains, powers in zip(two_layer_precoder(channel).singulars, watts, strict=True):
+        for s, p in zip(gains.tolist(), list(powers), strict=True):
+            total += math.log2(1.0 + p * s**2 / sigma2)
+    return total
+
+
+def cluster_sum_rate(channel, distances, watts, sigma2: float) -> float:
     """Sum rate of the user-cluster scheme, one user pair at a time.
 
     Stream j of user k sees its own singular value as signal; every other
     user k2 interferes through |U_k^H H_{q_k q_k2} V_k2|^2 weighted by the
-    watts of k2's streams.  Takes its own per-user SVDs from the channel.
+    watts of k2's streams (``watts`` holds one array per polarization).
+    Takes its own per-user SVDs from the channel.
     """
     users = {}
     offsets = [0, 0, 0]
@@ -124,8 +139,8 @@ def cluster_sum_rate(channel, distances, pa, sigma2: float) -> float:
             if k2 == k:
                 continue
             proj = u.conj().T @ channel.user_block(POLS[qi], POLS[q2], k) @ v2
-            leak += np.abs(proj) ** 2 @ (pa.q[q2] * pa.g[q2][off2 : off2 + s2.size])
+            leak += np.abs(proj) ** 2 @ watts[q2][off2 : off2 + s2.size]
         for j in range(s.size):
-            signal = pa.q[qi] * pa.g[qi][offset + j] * s[j] ** 2
+            signal = watts[qi][offset + j] * s[j] ** 2
             total += math.log2(1.0 + signal / (leak[j] + sigma2))
     return total

@@ -125,15 +125,20 @@ def test_precode_sweep_refuses_empty_or_repeated_lists(tmp_path, capsys, flag, v
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_cluster_scheme_requires_common_patch_count(tmp_path, capsys):
+def test_cluster_scheme_accepts_mixed_patch_counts(tmp_path):
     scenario = write(tmp_path, "mixed.cfg", K3_SCENARIO + "user3.nx = 2\n")
     argv = ["precode-sweep", "--scenario", str(scenario), "--out", str(tmp_path)]
-    assert main(argv + ["--schemes", "uc"]) == 2
-    assert "common per-user patch count" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
+    assert main(argv + ["--schemes", "uc"]) == 0
+    _, rows = read_rows(tmp_path / "precode_sweep.csv")
+    assert len(rows) == 3 * 16
+    assert all(r[0] == "uc" and np.isfinite(float(r[3])) for r in rows)
 
 
-def test_cluster_scheme_requires_k_multiple_of_three(tmp_path, capsys):
+def test_cluster_scheme_requires_k_multiple_of_three(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("precoding ran before the user count was checked")
+
+    monkeypatch.setattr("hmimos.experiments.two_layer_precoder", refuse)
     text = K2_SCENARIO + "user3.z = 2.0\nuser4.z = 2.4\nuser4.cx = 0.8\n"
     text = text.replace("user3.z = 2.0", "user3.z = 2.0\nuser3.cx = 0.3\nuser3.cy = 0.9")
     scenario = write(tmp_path, "k4.cfg", text)

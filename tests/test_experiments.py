@@ -1,4 +1,4 @@
-"""Row builders of the CSV exports and the user-cluster rate against the
+"""Row builders of the CSV exports and the two schemes' rates against the
 loops they replaced, and the SNR-grid pipelines' thread use."""
 
 import math
@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import cluster_sum_rate
+from _oracles import cluster_sum_rate, two_layer_sum_rate
 from _support import random_nf_scenario
 from hmimos import csvio
 from hmimos.channel import POLS, assemble_channel
@@ -124,7 +124,7 @@ def allocate(pa_name, singulars, budget, sigma2):
 
 
 def sweep_channel(scenario):
-    """The channel rescaled to the sweep's gain headroom, as ``prepare_sweep`` does."""
+    """The channel rescaled by the gain-headroom scale ``prepare_sweep`` applies to its links."""
     channel = assemble_channel(scenario)
     spectra = two_layer_precoder(channel).singulars
     n_tot = sum(s.size for s in spectra)
@@ -132,7 +132,7 @@ def sweep_channel(scenario):
     return replace(channel, matrix=channel.matrix * math.sqrt(GAIN_HEADROOM * n_tot**2 / sum2))
 
 
-CLUSTER_SCENARIOS = {
+SWEEP_SCENARIOS = {
     "fig12": fig12_scenario(),
     "fig13": _se_scenario((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), 3, 2),
     **{
@@ -142,20 +142,35 @@ CLUSTER_SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CLUSTER_SCENARIOS))
-def test_cluster_rate_matches_the_per_user_pair_oracle(name):
-    scenario = CLUSTER_SCENARIOS[name]
+def assert_sweep_meets_oracle(scenario, scheme, oracle):
+    """Every PA at -10, 0, 10 and 20 dB against ``oracle(watts, sigma2)``."""
     ctx = prepare_sweep(scenario)
-    channel = sweep_channel(scenario)
-    distances = [u.distance for u in scenario.users]
     budget = scenario.total_power
     for pa_name in PA_NAMES:
         for snr_db in (-10.0, 0.0, 10.0, 20.0):
             sigma2 = budget / 10 ** (snr_db / 10.0)
-            pa = allocate(pa_name, ctx.spectra["uc"], budget, sigma2)
-            want = cluster_sum_rate(channel, distances, pa, sigma2)
-            got = scheme_spectral_efficiency(ctx, "uc", pa_name, snr_db)
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            watts = allocate(pa_name, ctx.links[scheme].singulars, budget, sigma2)
+            got = scheme_spectral_efficiency(ctx, scheme, pa_name, snr_db)
+            assert got == pytest.approx(oracle(watts, sigma2), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SCENARIOS))
+def test_two_layer_rate_matches_the_per_stream_oracle(name):
+    scenario = SWEEP_SCENARIOS[name]
+    channel = sweep_channel(scenario)
+    assert_sweep_meets_oracle(
+        scenario, "two-layer", lambda watts, sigma2: two_layer_sum_rate(channel, watts, sigma2)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SCENARIOS))
+def test_cluster_rate_matches_the_per_user_pair_oracle(name):
+    scenario = SWEEP_SCENARIOS[name]
+    channel = sweep_channel(scenario)
+    distances = [u.distance for u in scenario.users]
+    assert_sweep_meets_oracle(
+        scenario, "uc", lambda watts, sigma2: cluster_sum_rate(channel, distances, watts, sigma2)
+    )
 
 
 def test_cluster_rate_with_unequal_user_grids(mixed_scenario):
@@ -165,7 +180,7 @@ def test_cluster_rate_with_unequal_user_grids(mixed_scenario):
     assert sorted(s.size for s in link.singulars) == [1, 5, 6]
     for pa_name in PA_NAMES:
         for sigma2 in (1e-6, 1e-8):  # around and below the leakage power, about 1e-7
-            pa = allocate(pa_name, link.singulars, 1.0, sigma2)
-            want = cluster_sum_rate(channel, distances, pa, sigma2)
-            got = cluster_spectral_efficiency(link, pa, sigma2)
+            watts = allocate(pa_name, link.singulars, 1.0, sigma2)
+            want = cluster_sum_rate(channel, distances, watts, sigma2)
+            got = cluster_spectral_efficiency(link, watts, sigma2)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -133,7 +133,18 @@ def test_spec_validation_errors():
 
 
 def _one_user():
-    return (UserPlacement(SurfaceSpec.grid(1, 1, 0.4), 1.0),)
+    return (UserPlacement(SurfaceSpec.grid(1, 1, 0.4, center=(0.0, 0.0, 1.0)), 1.0),)
+
+
+def test_user_distance_must_match_surface_height():
+    tx = SurfaceSpec.grid(2, 2, 0.4, center=(0.0, 0.0, 0.5))
+    rx = SurfaceSpec.grid(1, 1, 0.4, center=(0.3, -0.2, 2.0), role="receive")
+    near = UserPlacement(rx, 1.5)  # 2.0 above the origin, 1.5 above the transmitter
+    assert Scenario(1.0, tx, (near,)).users == (near,)
+    Scenario(1.0, tx, (UserPlacement(rx, 1.5 * (1 + 5e-13)),))  # within 1e-12 relative
+    for distance in (2.0, 1.5 * (1 + 2e-12)):
+        with pytest.raises(GeometryError, match=r"^user 2: distance .* height 1\.5 above"):
+            Scenario(1.0, tx, (near, UserPlacement(rx, distance)))
 
 
 @pytest.mark.parametrize(

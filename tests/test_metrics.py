@@ -24,24 +24,33 @@ from hmimos.metrics import (
     capacity_families,
     channel_dof,
     eigen_spectrum,
-    spectral_efficiency,
+    total_spectral_efficiency,
 )
 
 
 def test_spectral_efficiency_one_bit():
-    # q g s^2 / sigma2 = 1 -> log2(2) = 1 bit
-    assert spectral_efficiency([2.0], q=0.5, g=[0.5], sigma2=1.0) == pytest.approx(1.0)
+    # p s^2 / sigma2 = 1 -> log2(2) = 1 bit
+    assert total_spectral_efficiency(([], [2.0], []), ([], [0.25], []), 1.0) == pytest.approx(1.0)
+    # leakage adds to the noise: p s^2 / (sigma2 + leak) = 1
+    assert total_spectral_efficiency(([2.0], [], []), ([0.5], [], []), 1.0, [1.0]) == 1.0
 
 
 def test_spectral_efficiency_zero_power():
-    assert spectral_efficiency([3.0, 1.0], q=0.0, g=[0.5, 0.5], sigma2=1.0) == 0.0
-    assert spectral_efficiency([], q=1.0, g=[], sigma2=1.0) == 0.0
+    assert total_spectral_efficiency(([3.0, 1.0], [2.0], []), ([0.0, 0.0], [0.0], []), 1.0) == 0.0
+    assert total_spectral_efficiency(([], [], []), ([], [], []), 1.0) == 0.0
 
 
 @pytest.mark.parametrize("shares", [[0.5], [0.5, 0.3, 0.2]])
 def test_spectral_efficiency_refuses_a_length_mismatch(shares):
+    # shares of a 1 W budget are the stream watts
     with pytest.raises(ValueError, match="singular values but"):
-        spectral_efficiency([2.0, 1.0], q=1.0, g=shares, sigma2=1.0)
+        total_spectral_efficiency(([2.0, 1.0], [], []), (shares, [], []), 1.0)
+
+
+def test_spectral_efficiency_checks_each_polarization_length():
+    # three streams and three watts, but split 2 + 1 against 1 + 2
+    with pytest.raises(ValueError, match="pol 0: 2 singular values but 1 stream watts"):
+        total_spectral_efficiency(([2.0, 1.0], [1.0], []), ([0.5], [0.3, 0.2], []), 1.0)
 
 
 def test_two_layer_beats_cluster_across_snr():
@@ -241,10 +250,11 @@ def test_capacity_family_ordering_over_distance_grid():
 
 
 def test_spectral_efficiency_monotone():
-    singulars = [2.0, 1.0, 0.5]
-    shares = [0.5, 0.3, 0.2]
-    vals = [spectral_efficiency(singulars, 1.0, shares, 1.0 / snr) for snr in (0.5, 1, 2, 4, 8)]
+    singulars = ([2.0, 1.0], [0.5], [])
+    watts = ([0.5, 0.3], [0.2], [])
+    vals = [total_spectral_efficiency(singulars, watts, 1.0 / snr) for snr in (0.5, 1, 2, 4, 8)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-    base = spectral_efficiency(singulars, 1.0, shares, 0.5)
-    boosted = spectral_efficiency(singulars, 1.0, [0.5, 0.3, 0.4], 0.5)
-    assert boosted > base
+    base = total_spectral_efficiency(singulars, watts, 0.5)
+    boosted = total_spectral_efficiency(singulars, ([0.5, 0.3], [0.4], []), 0.5)
+    leaky = total_spectral_efficiency(singulars, watts, 0.5, [0.1, 0.0, 0.0])
+    assert boosted > base > leaky
