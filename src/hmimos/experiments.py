@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import POLS, assemble_channel
 from .correlation import transmit_correlation
-from .csvio import parallel_map, write_csv
+from .csvio import BlockTable, parallel_map, write_csv
 from .errors import ConfigError
 from .geometry import Scenario, SurfaceSpec, UserPlacement
 from .metrics import capacity_families, channel_dof, eigen_spectrum, total_spectral_efficiency
@@ -125,36 +125,49 @@ SE_COLUMNS = ("scheme", "pa", "snr_db", "spectral_efficiency")
 
 
 def _entry_indices(n_rows: int, n_cols: int):
-    """1-based (row, column) index lists of a row-major raveled n_rows x n_cols matrix."""
+    """1-based (row, column) index arrays of a row-major raveled n_rows x n_cols matrix."""
     return (
-        [m for m in range(1, n_rows + 1) for _ in range(n_cols)],
-        list(range(1, n_cols + 1)) * n_rows,
+        np.repeat(np.arange(1, n_rows + 1), n_cols),
+        np.tile(np.arange(1, n_cols + 1), n_rows),
     )
 
 
-def channel_rows(scenario: Scenario):
+def channel_rows(scenario: Scenario) -> BlockTable:
+    """Rows (rx_pol, tx_pol, user, rx_patch, tx_patch, re, im) of every channel entry.
+
+    One block per (rx pol, tx pol, user) sub-matrix, cut from the assembled
+    channel as the table is iterated.
+    """
     channel = assemble_channel(scenario)
-    rows = []
-    for p in POLS:
-        for q in POLS:
-            block = channel.block(p, q)
-            for k in range(channel.n_users):
-                sub = block[channel.user_rows(k)]
-                ms, ns = _entry_indices(*sub.shape)
-                rows.extend(zip(repeat(p), repeat(q), repeat(k + 1), ms, ns,
-                                sub.real.ravel().tolist(), sub.imag.ravel().tolist()))
-    return rows
+
+    def blocks():
+        for p in POLS:
+            for q in POLS:
+                block = channel.block(p, q)
+                for k in range(channel.n_users):
+                    sub = block[channel.user_rows(k)]
+                    yield (p, q, k + 1, *_entry_indices(*sub.shape),
+                           sub.real.ravel(), sub.imag.ravel())
+
+    return BlockTable(channel.matrix.size, blocks)
 
 
-def correlation_rows(scenario: Scenario):
-    rows = []
-    for k, user in enumerate(scenario.users):
-        for pol in CO_POLS:
-            cm = transmit_correlation(scenario.transmit, user.distance, scenario.k0, pol)
-            ns, ls = _entry_indices(cm.size, cm.size)
-            rows.extend(zip(repeat(k + 1), repeat(pol), ns, ls,
-                            cm.raw.ravel().tolist(), cm.normalized.ravel().tolist()))
-    return rows
+def correlation_rows(scenario: Scenario) -> BlockTable:
+    """Rows (user, pol, n, l, raw, normalized) of each user's co-polarized correlations.
+
+    One block per (user, pol) matrix, computed as the table is iterated
+    rather than all up front.
+    """
+    n = scenario.transmit.count
+    ns, ls = _entry_indices(n, n)
+
+    def blocks():
+        for k, user in enumerate(scenario.users):
+            for pol in CO_POLS:
+                cm = transmit_correlation(scenario.transmit, user.distance, scenario.k0, pol)
+                yield k + 1, pol, ns, ls, cm.raw.ravel(), cm.normalized.ravel()
+
+    return BlockTable(scenario.n_users * len(CO_POLS) * n * n, blocks)
 
 
 def dof_rows(scenario: Scenario):

@@ -4,8 +4,8 @@ Three schemes:
 
 * PA1 selects the polarization with the largest effective Frobenius norm and
   water-fills its streams.
-* PA2 splits the budget equally over the three polarizations and uniformly
-  over streams.
+* PA2 splits the budget equally over the polarizations that have streams
+  and uniformly over each one's streams.
 * PA3 water-fills twice: first over the per-polarization Frobenius gains,
   then over the singular values pooled within each polarization.
 
@@ -80,12 +80,15 @@ def pa1_select(spectra, budget: float = 1.0, sigma2: float = 1.0) -> tuple[np.nd
 
 
 def pa2_equal(stream_counts, budget: float = 1.0) -> tuple[np.ndarray, ...]:
-    """Equal split: budget / 3 per polarization, uniform over its streams.
+    """Equal split: an equal share per polarization with streams, uniform over them.
 
     ``stream_counts`` holds the stream count of each of the three effective
-    channels; a polarization without streams gets an empty array.
+    channels.  The budget is split over the polarizations that have streams,
+    so it is spent in full; a polarization without streams gets an empty
+    array.
     """
-    return tuple(np.full(c, budget / (3.0 * c)) if c > 0 else np.zeros(0) for c in stream_counts)
+    active = sum(1 for c in stream_counts if c > 0)
+    return tuple(np.full(c, budget / (active * c)) if c > 0 else np.zeros(0) for c in stream_counts)
 
 
 def pa3_two_layer(spectra, budget: float = 1.0, sigma2: float = 1.0) -> tuple[np.ndarray, ...]:

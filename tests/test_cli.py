@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hmimos import cli
 from hmimos.cli import MAX_ABS_SNR_DB, MAX_SNR_POINTS, main, parse_snr_range
 from hmimos.config import load_scenario, parse_keyvalues, scenario_from_keyvalues
 from hmimos.errors import ConfigError
@@ -214,12 +215,15 @@ def test_dof_and_correlation_subcommands(tmp_path):
     assert len(rows) == 2 * 3 * 16 * 16
 
 
-@pytest.mark.parametrize(
+EVERY_SUBCOMMAND = pytest.mark.parametrize(
     "argv",
     [["channel"], ["correlation"], ["dof"], ["capacity", "--snr", "0:10:10"],
      ["precode-sweep", "--snr", "0:10:10"]],
     ids=lambda argv: argv[0],
 )
+
+
+@EVERY_SUBCOMMAND
 def test_scenario_file_is_read_once(tmp_path, monkeypatch, argv):
     scenario = write(tmp_path, "k3.cfg", K3_SCENARIO)
     reads = []
@@ -233,6 +237,23 @@ def test_scenario_file_is_read_once(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(Path, "read_text", counting_read_text)
     assert main(argv + ["--scenario", str(scenario), "--out", str(tmp_path)]) == 0
     assert len(reads) == 1
+
+
+@EVERY_SUBCOMMAND
+def test_rows_given_to_the_writer_count_the_written_rows(tmp_path, monkeypatch, argv):
+    scenario = write(tmp_path, "k3.cfg", K3_SCENARIO)
+    lengths = []
+    original = cli.write_csv
+
+    def counting_write_csv(path, config, columns, rows):
+        lengths.append(len(rows))
+        return original(path, config, columns, rows)
+
+    monkeypatch.setattr(cli, "write_csv", counting_write_csv)
+    assert main(argv + ["--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+    (written,) = [p for p in tmp_path.iterdir() if p.suffix == ".csv"]
+    _, rows = read_rows(written)
+    assert lengths == [len(rows)]
 
 
 def test_missing_scenario_file_exits_two(tmp_path, capsys):

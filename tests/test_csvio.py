@@ -1,4 +1,4 @@
-"""The chunked, memoized CSV writer against the row-by-row writer it replaced."""
+"""The block-wise, memoized CSV writer against the row-by-row writer it replaced."""
 
 import math
 from unittest.mock import patch
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmimos import csvio
-from hmimos.csvio import CHUNK_ROWS, fmt, write_csv
+from hmimos.csvio import CHUNK_ROWS, BlockTable, fmt, write_csv
 
 
 def oracle_write(path, config, columns, rows):
@@ -79,6 +79,69 @@ def test_bytes_match_the_row_by_row_writer(tmp_path_factory, rows, chunk):
         assert_same_bytes(tmp_path, rows)
 
 
+# Array dtype of each Python value type a block column may hold.
+DTYPES = {float: np.float64, int: np.int64, str: np.str_}
+COLUMN_POOLS = {
+    float: st.lists(st.one_of(FLOAT_EDGES, st.floats(allow_subnormal=True)), min_size=1, max_size=6),
+    int: st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6),
+    str: st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+                  min_size=1, max_size=6),
+}
+
+
+@st.composite
+def block_tables(draw):
+    """Block tables whose columns draw from one small pool per value type.
+
+    Each block picks, per column, a type and whether the column is a scalar
+    or an array, so values repeat within and across blocks and a column's
+    memo carries over from one block to the next.
+    """
+    width = draw(st.integers(1, 4))
+    pools = [{kind: draw(pool) for kind, pool in COLUMN_POOLS.items()} for _ in range(width)]
+    blocks = []
+    n_rows = 0
+    for _ in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(0, 7))
+        n_rows += n
+        arrays = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+        arrays[draw(st.integers(0, width - 1))] = True
+        columns = []
+        for pool, is_array in zip(pools, arrays):
+            kind = draw(st.sampled_from(list(pool)))
+            if is_array:
+                values = [draw(st.sampled_from(pool[kind])) for _ in range(n)]
+                columns.append(np.array(values, dtype=DTYPES[kind]))
+            else:
+                columns.append(draw(st.sampled_from(pool[kind])))
+        blocks.append(tuple(columns))
+    return BlockTable(n_rows, lambda: iter(blocks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=block_tables(), chunk=st.integers(1, 8))
+def test_block_table_bytes_match_the_row_by_row_writer(tmp_path_factory, table, chunk):
+    tmp_path = tmp_path_factory.mktemp("csv")
+    rows = list(table)
+    assert len(table) == len(rows)
+    assert all(type(v) in (float, int, str) for row in rows for v in row)
+    columns = [f"c{j}" for j in range(len(rows[0]) if rows else 2)]
+    with patch.object(csvio, "CHUNK_ROWS", chunk):
+        got = write_csv(tmp_path / "got" / "t.csv", "cfg a=1", columns, table)
+    want = oracle_write(tmp_path / "want.csv", "cfg a=1", columns, rows)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("block", [(1.5, "x"), (np.zeros(2), np.zeros(3))], ids=["scalars", "ragged"])
+def test_block_needs_array_columns_of_one_length(tmp_path, block):
+    table = BlockTable(2, lambda: iter([block]))
+    with pytest.raises(ValueError, match="array columns of one length"):
+        write_csv(tmp_path / "t.csv", "cfg", ["a", "b"], table)
+    with pytest.raises(ValueError, match="array columns of one length"):
+        list(table)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_equal_values_of_different_types_keep_their_own_text(tmp_path):
     # One chunk of ints, then one of floats: the column memo must not let 1e17
     # reuse the text of 10**17, nor -0.0 that of 0.0.
@@ -88,6 +151,15 @@ def test_equal_values_of_different_types_keep_their_own_text(tmp_path):
     text = (tmp_path / "got" / "t.csv").read_text().splitlines()
     assert text[2] == "100000000000000000,1,0"
     assert text[2 + CHUNK_ROWS] == "1e+17,1,-0"
+
+    # The same, as blocks of int and then float arrays.
+    table = BlockTable(4, lambda: iter([
+        (np.array([10**17, 10**17]), "a", np.array([0.0, 0.0])),
+        (np.array([1e17, 1e17]), "a", np.array([-0.0, 0.0])),
+    ]))
+    got = write_csv(tmp_path / "table.csv", "cfg", ["a", "b", "c"], table)
+    assert got.read_text().splitlines()[2:] == [
+        "100000000000000000,a,0", "100000000000000000,a,0", "1e+17,a,-0", "1e+17,a,0"]
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1])
@@ -100,7 +172,10 @@ def test_chunk_boundaries(tmp_path, n_rows):
 
 
 def test_ragged_rows(tmp_path):
-    assert_same_bytes(tmp_path, [(1.5, 2), (3,), (), ("a", 0.25, -0.0)], columns=["a", "b"])
+    # 1.5 ends a row of width 1 after starting one of width 2: the memo of a
+    # column position must not carry its text across row widths.
+    rows = [(1.5, 2), (3,), (), ("a", 0.25, -0.0), (1.5,), (2, 1.5)]
+    assert_same_bytes(tmp_path, rows, columns=["a", "b"])
 
 
 def test_failed_write_leaves_no_file(tmp_path):

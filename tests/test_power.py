@@ -129,10 +129,13 @@ def test_pa2_uniform():
     # per-stream power = budget / (3 K nr_bar)
     for w in pa2_equal([6, 6, 6], budget=1.0):
         assert w == pytest.approx(np.full(6, 1.0 / 18.0))
+    # A polarization without streams takes no share: the two others split
+    # the whole budget, 1.5 W each.
     uneven = pa2_equal([4, 0, 2], budget=3.0)
     assert [w.size for w in uneven] == [4, 0, 2]
-    assert uneven[0] == pytest.approx(np.full(4, 0.25))
-    assert uneven[2] == pytest.approx(np.full(2, 0.5))
+    assert uneven[0] == pytest.approx(np.full(4, 0.375))
+    assert uneven[2] == pytest.approx(np.full(2, 0.75))
+    assert sum(float(w.sum()) for w in uneven) == pytest.approx(3.0)
 
 
 def test_pa3_equal_norms_split_evenly():
