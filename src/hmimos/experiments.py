@@ -25,7 +25,7 @@ import numpy as np
 from .channel import POLS, assemble_channel
 from .correlation import transmit_correlation
 from .csvio import BlockTable, parallel_map, write_csv
-from .errors import ConfigError
+from .errors import ConfigError, PrecoderDegeneracyError
 from .geometry import Scenario, SurfaceSpec, UserPlacement
 from .metrics import capacity_families, channel_dof, eigen_spectrum, total_spectral_efficiency
 from .numerics import DEFAULT_TOL
@@ -70,7 +70,10 @@ def prepare_sweep(scenario: Scenario, schemes=SCHEMES, tol: float = DEFAULT_TOL)
     gains = two_layer_precoder(channel, tol).singulars
     n_tot = sum(s.size for s in gains)
     sum2 = sum(float(np.sum(s**2)) for s in gains)
-    scale = math.sqrt(GAIN_HEADROOM * n_tot**2 / sum2)
+    scale2 = GAIN_HEADROOM * n_tot**2 / sum2 if sum2 > 0.0 else math.inf
+    if not math.isfinite(scale2):  # the squared gains underflow, or the scale overflows
+        raise PrecoderDegeneracyError("H", "its two-layer stream gains are too weak to scale")
+    scale = math.sqrt(scale2)
     links = {"two-layer": StreamLink(gains, np.zeros((n_tot, n_tot)))}
     if "uc" in schemes:
         links["uc"] = cluster_link(channel, [u.distance for u in scenario.users])
@@ -174,7 +177,11 @@ def dof_rows(scenario: Scenario):
     channel = assemble_channel(scenario)
     rows = []
     for k, user in enumerate(scenario.users):
-        rows.append((k + 1, user.distance, channel_dof(channel.user_stacked(k))))
+        try:
+            dof = channel_dof(channel.user_stacked(k))
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"user {k + 1}: {exc}") from None
+        rows.append((k + 1, user.distance, dof))
     return rows
 
 

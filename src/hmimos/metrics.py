@@ -90,12 +90,12 @@ def channel_dof(h) -> float:
     (sum s^2)^2 / sum s^4, evaluated without forming an eigendecomposition.
     ||R||_f^2 comes from real products, at half the flops of the complex
     Gram: Re R = X X^T, with X the interleaved [Re, Im] columns of H, and
-    Im R = C - C^T with C = Im(H) Re(H)^T.
+    Im R = C - C^T with C = Im(H) Re(H)^T.  A channel whose Gram matrix is
+    0 in double precision (all zero, or every entry below about 1e-80)
+    raises ``np.linalg.LinAlgError``.
     """
     mat = np.asarray(h, dtype=np.complex128)
     fro2 = float(np.linalg.norm(mat) ** 2)
-    if fro2 == 0.0:
-        raise ValueError("zero channel has no diversity gain")
     # H and H^T have Grams of equal Frobenius norm: work on the wide one.
     mat = np.ascontiguousarray(mat.T if mat.shape[0] > mat.shape[1] else mat)
     x = mat.view(np.float64)
@@ -104,4 +104,9 @@ def channel_dof(h) -> float:
     del re_gram
     im_gram = np.ascontiguousarray(mat.imag) @ np.ascontiguousarray(mat.real).T
     im_gram -= im_gram.T  # numpy buffers the overlapping transpose
-    return fro2**2 / (gram2 + float(np.vdot(im_gram, im_gram)))
+    gram2 += float(np.vdot(im_gram, im_gram))
+    if gram2 == 0.0:
+        raise np.linalg.LinAlgError(
+            "zero channel has no diversity gain: its Gram matrix is 0 in double precision"
+        )
+    return fro2**2 / gram2

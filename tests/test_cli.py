@@ -178,6 +178,44 @@ user1.z = 1.0
     assert "H_" in err
 
 
+# The console-script smoke scenario with a transmit pitch so small that the
+# channel's squared entries underflow.
+UNDERFLOW_SCENARIO = """\
+tx.nx = 3
+tx.ny = 3
+tx.dx = 1e-300
+tx.dy = 0.4
+rx.nx = 1
+rx.ny = 1
+rx.dx = 0.4
+rx.dy = 0.4
+user1.z = 1.0
+user1.cx = 0.5
+user1.cy = 0.3
+user2.z = 1.5
+user2.cx = -0.6
+user2.cy = 0.4
+user3.z = 2.0
+user3.cx = 0.2
+user3.cy = -0.7
+"""
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [("dof", "numerical failure: user 1: zero channel has no diversity gain"),
+     ("precode-sweep", "precoding failed: degenerate channel block H: ")],
+    ids=["dof", "precode-sweep"],
+)
+def test_underflowing_channel_exits_three(tmp_path, capsys, command, message):
+    scenario = write(tmp_path, "tiny.cfg", UNDERFLOW_SCENARIO)
+    assert main([command, "--scenario", str(scenario), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_unknown_preset_exits_two(tmp_path, capsys):
     assert main(["preset", "--preset", "fig99", "--out", str(tmp_path)]) == 2
     assert "unknown preset" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""The block-wise, memoized CSV writer against the row-by-row writer it replaced."""
+"""The CSV writer, for tuple rows and block tables, against a row-by-row writer."""
 
 import math
 from unittest.mock import patch
@@ -29,16 +29,17 @@ def assert_same_bytes(tmp_path, rows, columns=None):
     assert sorted(p.name for p in got.parent.iterdir()) == ["t.csv"]
 
 
-# Floats a value-keyed memo gets wrong (0.0 == -0.0, NaN equal to nothing),
-# and values that compare equal across types but print differently.
+# Floats that compare equal but print differently (0.0 == -0.0), NaNs of
+# both signs (equal to nothing), infinities, subnormals and whole numbers.
 FLOAT_EDGES = st.sampled_from(
-    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 1e17, 1.0]
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+     1e17, 1.0]
 )
 EQUAL_ACROSS_TYPES = st.sampled_from(
     [10**17, 1e17, 1, 1.0, True, 0, 0.0, -0.0, False, np.float64(-0.0), np.float64(1e17)]
 )
-# Column pools whose values a memo keyed on value alone would merge although
-# fmt prints them differently.
+# Column pools of values that compare equal, or equal to nothing, while fmt
+# prints each its own way: every value must keep its own text.
 CLASHING_POOLS = st.sampled_from(
     [[0.0, -0.0], [-0.0, 1.5, 0.0], [10**17, 1e17], [2**60, float(2**60)],
      [-(2**70), float(-(2**70))], [10**22, 1e22], [math.nan, 0.25]]
@@ -94,8 +95,8 @@ def block_tables(draw):
     """Block tables whose columns draw from one small pool per value type.
 
     Each block picks, per column, a type and whether the column is a scalar
-    or an array, so values repeat within and across blocks and a column's
-    memo carries over from one block to the next.
+    or an array, so values repeat within and across blocks and a column
+    changes type from one block to the next.
     """
     width = draw(st.integers(1, 4))
     pools = [{kind: draw(pool) for kind, pool in COLUMN_POOLS.items()} for _ in range(width)]
@@ -143,8 +144,8 @@ def test_block_needs_array_columns_of_one_length(tmp_path, block):
 
 
 def test_equal_values_of_different_types_keep_their_own_text(tmp_path):
-    # One chunk of ints, then one of floats: the column memo must not let 1e17
-    # reuse the text of 10**17, nor -0.0 that of 0.0.
+    # One chunk of ints, then one of floats: 1e17 prints as a float although it
+    # equals 10**17, and -0.0 keeps its sign although it equals 0.0.
     rows = ([(10**17, 1, 0.0)] * CHUNK_ROWS + [(1e17, 1.0, -0.0)] * CHUNK_ROWS
             + [(10**17, True, 0.0), (1e17, 1, -0.0)])
     assert_same_bytes(tmp_path, rows)
@@ -172,8 +173,8 @@ def test_chunk_boundaries(tmp_path, n_rows):
 
 
 def test_ragged_rows(tmp_path):
-    # 1.5 ends a row of width 1 after starting one of width 2: the memo of a
-    # column position must not carry its text across row widths.
+    # Rows of widths 2, 1, 0 and 3, with 1.5 first in column a and last in
+    # column b: each line holds exactly its own row's values.
     rows = [(1.5, 2), (3,), (), ("a", 0.25, -0.0), (1.5,), (2, 1.5)]
     assert_same_bytes(tmp_path, rows, columns=["a", "b"])
 
@@ -189,5 +190,16 @@ def test_failed_write_leaves_no_file(tmp_path):
     before = old.read_bytes()
     with pytest.raises(TypeError):
         write_csv(old, "cfg", ["a", "b"], rows)
+    assert old.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    # The same for a block table whose second block has a complex array column.
+    table = BlockTable(CHUNK_ROWS + 2, lambda: iter([
+        (np.full(CHUNK_ROWS, 0.5), 1), (np.array([0.5, 1j]), 2),
+    ]))
+    with pytest.raises(TypeError, match="complex"):
+        write_csv(tmp_path / "table.csv", "cfg", ["a", "b"], table)
+    with pytest.raises(TypeError, match="complex"):
+        write_csv(old, "cfg", ["a", "b"], table)
     assert old.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
