@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import radial_coeffs
-from .geometry import SurfaceSpec, patch_centers
+from .geometry import SurfaceSpec, patch_indices
+from .geometry import patch_centers  # noqa: F401  perfbench's geometry probe patches this name
 
 FOUR_PI = 4.0 * math.pi
 
@@ -47,13 +48,23 @@ def im_green0_xx(d, x, k0: float):
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Raw correlation over transmit-patch pairs plus its diagonal."""
+    """Raw correlation over transmit-patch pairs, held once per patch offset.
 
-    raw: np.ndarray
+    ``values`` has one raw correlation per patch offset (|di|, |dj|), the
+    zero offset first; ``codes`` (N x N) gives each pair's offset, so the
+    matrix is ``values[codes]``.
+    """
+
+    values: np.ndarray
+    codes: np.ndarray
+
+    @property
+    def raw(self) -> np.ndarray:
+        return self.values[self.codes]
 
     @property
     def diag_value(self) -> float:
-        return float(self.raw[0, 0])
+        return float(self.values[0])
 
     @property
     def normalized(self) -> np.ndarray:
@@ -61,7 +72,7 @@ class CorrelationMatrix:
 
     @property
     def size(self) -> int:
-        return self.raw.shape[0]
+        return self.codes.shape[0]
 
 
 def transmit_correlation(spec: SurfaceSpec, distance: float, k0: float, pol: str = "xx") -> CorrelationMatrix:
@@ -74,19 +85,31 @@ def transmit_correlation(spec: SurfaceSpec, distance: float, k0: float, pol: str
     entry keeps its sign and reads the image height z (its free-space
     coordinate is zero).  All diagonal entries are equal; ``normalized``
     divides by them.
+
+    An entry depends only on the patches' grid offset (|di|, |dj|), so the
+    kernel runs once per offset and equal offsets give bit-equal entries.
+    A table that is not finite, or whose diagonal is 0, raises
+    ``np.linalg.LinAlgError``.
     """
     if distance <= 0:
         raise ValueError("transmit/receive distance must be positive")
-    pts = patch_centers(spec)
-    dx = pts[:, 0][:, None] - pts[:, 0][None, :]
-    dy = pts[:, 1][:, None] - pts[:, 1][None, :]
+    ix, iy = patch_indices(spec)
+    dx = np.arange(np.ptp(ix) + 1) * spec.dx
+    dy = np.arange(np.ptp(iy) + 1)[:, None] * spec.dy
     # (free-space coordinate, image coordinate, image sign) per co-polarization
     terms = {"xx": (dx, dx, -1.0), "yy": (dy, dy, -1.0), "zz": (0.0, distance, 1.0)}
     if pol not in terms:
         raise ValueError(f"unknown polarization {pol!r}")
     coord, image_coord, sign = terms[pol]
-    raw = im_green0_xx(np.hypot(dx, dy), coord, k0)
-    r = np.sqrt(dx * dx + dy * dy + distance * distance)
-    raw += sign * im_green0_xx(r, image_coord, k0)
-    raw = 0.5 * (raw + raw.T)
-    return CorrelationMatrix(raw=raw)
+    with np.errstate(all="ignore"):  # a kernel that overflows is refused below
+        table = im_green0_xx(np.hypot(dx, dy), coord, k0)
+        table += sign * im_green0_xx(np.sqrt(dx * dx + dy * dy + distance * distance), image_coord, k0)
+    values = table.ravel()
+    if not np.all(np.isfinite(values)) or values[0] == 0.0:
+        raise np.linalg.LinAlgError(
+            f"{pol} correlation is not finite, or its diagonal is 0, at this spacing and distance"
+        )
+    codes = np.abs(iy[:, None] - iy)
+    codes *= dx.size
+    codes += np.abs(ix[:, None] - ix)
+    return CorrelationMatrix(values, codes)

@@ -5,12 +5,13 @@ re-running a preset reproduces the file byte for byte.  Floats are written
 with 17 significant digits.
 
 Rows arrive either as a sequence of tuples or as a :class:`BlockTable`, whose
-blocks hold each column as a scalar shared by the block or as a 1-D numpy
-array.  Tuples are written row by row, one ``fmt`` call per value.  An array
-column formats each distinct value of its block once (``np.unique``), floats
-told apart by their bits, so the repeated offsets and symmetric entries of a
-correlation block cost one ``format`` call each.  The text is exactly what
-``fmt`` gives per value.
+blocks hold each column as a scalar shared by the block, as a 1-D numpy
+array, or coded as ``(values, codes)``.  Tuples are written row by row, one
+``fmt`` call per value.  A coded column formats each of its ``values`` once
+and gathers the texts by ``codes``.  An array column first finds its
+distinct values (``np.unique``), floats told apart by their bits, and is then
+written as the coded column they give.  The text is exactly what ``fmt``
+gives per value.
 
 Lines are joined and written ``CHUNK_ROWS`` at a time.  The writer holds one
 block's arrays and their texts at a time, never the whole table or file.
@@ -46,11 +47,13 @@ def fmt(value) -> str:
 class BlockTable:
     """A sized, re-iterable table of rows, built one block at a time.
 
-    ``blocks()`` yields each block as a tuple of columns.  A column is
-    either a scalar shared by every row of the block or a 1-D numpy array
-    with one value per row; each block has at least one array column, and
-    its arrays have equal lengths.  ``n_rows`` is the sum of those lengths.
-    Iterating yields the rows as tuples of Python values.
+    ``blocks()`` yields each block as a tuple of columns.  A column is a
+    scalar shared by every row of the block, a 1-D numpy array with one
+    value per row, or a coded column ``(values, codes)`` of two 1-D arrays
+    whose row i holds ``values[codes[i]]``.  Each block has at least one
+    array or coded column, and its arrays and codes have equal lengths.
+    ``n_rows`` is the sum of those lengths.  Iterating yields the rows as
+    tuples of Python values.
     """
 
     n_rows: int
@@ -63,12 +66,16 @@ class BlockTable:
         for columns in self.blocks():
             n = _block_length(columns)
             yield from zip(*(
-                c.tolist() if isinstance(c, np.ndarray) else repeat(c, n) for c in columns
+                c.tolist() if isinstance(c, np.ndarray)
+                else c[0][c[1]].tolist() if isinstance(c, tuple)
+                else repeat(c, n)
+                for c in columns
             ))
 
 
 def _block_length(columns) -> int:
     lengths = {len(c) for c in columns if isinstance(c, np.ndarray)}
+    lengths |= {len(c[1]) for c in columns if isinstance(c, tuple)}
     if len(lengths) != 1:
         raise ValueError(f"a block needs array columns of one length, got {sorted(lengths)}")
     return lengths.pop()
@@ -92,8 +99,13 @@ def _array_text(arr: np.ndarray, sep: str) -> list[str]:
     if distinct.size == arr.size:
         # No value repeats in the block (a channel block): gathering gains nothing.
         return _texts(arr.tolist(), sep)
-    texts = _texts(distinct.view(arr.dtype).tolist(), sep)
-    return np.array(texts, dtype=object)[inverse].tolist()
+    return _coded_text(distinct.view(arr.dtype), inverse, sep)
+
+
+def _coded_text(values: np.ndarray, codes: np.ndarray, sep: str) -> list[str]:
+    """``fmt(values[c]) + sep`` of each code, formatting each value once."""
+    texts = _texts(values.tolist(), sep)
+    return np.array(texts, dtype=object)[codes].tolist()
 
 
 def _block_lines(columns) -> Iterable[str]:
@@ -105,6 +117,8 @@ def _block_lines(columns) -> Iterable[str]:
         sep = "," if j < width - 1 else "\n"
         if isinstance(col, np.ndarray):
             pieces.append(_array_text(col, sep))
+        elif isinstance(col, tuple):
+            pieces.append(_coded_text(*col, sep))
         else:
             pieces.append(repeat(fmt(col) + sep, n))
     return map("".join, zip(*pieces))

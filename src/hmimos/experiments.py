@@ -159,16 +159,24 @@ def correlation_rows(scenario: Scenario) -> BlockTable:
     """Rows (user, pol, n, l, raw, normalized) of each user's co-polarized correlations.
 
     One block per (user, pol) matrix, computed as the table is iterated
-    rather than all up front.
+    rather than all up front.  Every array column is coded: ``n`` and ``l``
+    over the patch labels, ``raw`` and ``normalized`` over the matrix's
+    per-offset values.
     """
     n = scenario.transmit.count
-    ns, ls = _entry_indices(n, n)
+    labels = np.arange(1, n + 1)
+    n_codes, l_codes = np.divmod(np.arange(n * n), n)
 
     def blocks():
         for k, user in enumerate(scenario.users):
             for pol in CO_POLS:
-                cm = transmit_correlation(scenario.transmit, user.distance, scenario.k0, pol)
-                yield k + 1, pol, ns, ls, cm.raw.ravel(), cm.normalized.ravel()
+                try:
+                    cm = transmit_correlation(scenario.transmit, user.distance, scenario.k0, pol)
+                except np.linalg.LinAlgError as exc:
+                    raise np.linalg.LinAlgError(f"user {k + 1}: {exc}") from None
+                codes = cm.codes.ravel()
+                yield (k + 1, pol, (labels, n_codes), (labels, l_codes),
+                       (cm.values, codes), (cm.values / cm.diag_value, codes))
 
     return BlockTable(scenario.n_users * len(CO_POLS) * n * n, blocks)
 

@@ -118,6 +118,31 @@ class Scenario:
         return len(self.users)
 
 
+def patch_indices(spec: SurfaceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Integer grid indices (ix, iy) of each patch, in ``patch_centers`` order.
+
+    Patch n sits at (ix[n] * dx, iy[n] * dy) plus one offset shared by every
+    patch, so two patches are (ix[n] - ix[m], iy[n] - iy[m]) steps apart.
+    Grids count from 0; a circle counts from the center of its bounding grid.
+    """
+    if spec.layout in ("square", "rectangle"):
+        iy, ix = np.divmod(np.arange(spec.count), spec.nx)
+        return ix, iy
+
+    # circle: scan a bounding grid large enough to host n_total points
+    n = spec.n_total
+    half = int(math.ceil(math.sqrt(n))) + 2
+    idx = np.arange(-half, half + 1)
+    gx, gy = np.meshgrid(idx * spec.dx, idx * spec.dy, indexing="xy")
+    x = gx.ravel()
+    y = gy.ravel()
+    d2 = x * x + y * y
+    if d2.size < n:
+        raise GeometryError(f"circle layout cannot host {n} patches at this spacing")
+    keep = np.lexsort((y, x, d2))[:n]
+    return idx[keep % idx.size], idx[keep // idx.size]
+
+
 def patch_centers(spec: SurfaceSpec) -> np.ndarray:
     """Patch-center coordinates, shape (count, 3).
 
@@ -134,20 +159,8 @@ def patch_centers(spec: SurfaceSpec) -> np.ndarray:
         pts = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, cz)])
         return pts
 
-    # circle: scan a bounding grid large enough to host n_total points
-    n = spec.n_total
-    half = int(math.ceil(math.sqrt(n))) + 2
-    idx = np.arange(-half, half + 1)
-    gx, gy = np.meshgrid(idx * spec.dx, idx * spec.dy, indexing="xy")
-    x = gx.ravel()
-    y = gy.ravel()
-    d2 = x * x + y * y
-    if d2.size < n:
-        raise GeometryError(f"circle layout cannot host {n} patches at this spacing")
-    order = np.lexsort((y, x, d2))
-    keep = order[:n]
-    pts = np.column_stack([x[keep] + cx, y[keep] + cy, np.full(n, cz)])
-    return pts
+    ix, iy = patch_indices(spec)
+    return np.column_stack([ix * spec.dx + cx, iy * spec.dy + cy, np.full(ix.size, cz)])
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ import math
 import numpy as np
 
 from hmimos.channel import POLS
-from hmimos.correlation import transmit_correlation
+from hmimos.correlation import im_green0_xx, transmit_correlation
 from hmimos.errors import SingularityError
+from hmimos.geometry import patch_centers
 from hmimos.precoding import cluster_users, two_layer_precoder
 
 
@@ -36,6 +37,25 @@ def dyadic_green(r, rp, k0: float) -> np.ndarray:
     unit = diff / d
     c1, c2 = radial_coeffs(k0 * d)
     return (c1 * np.eye(3) + c2 * np.outer(unit, unit)) * g
+
+
+def dense_transmit_correlation(spec, distance: float, k0: float, pol: str = "xx") -> np.ndarray:
+    """Raw transmit correlation with the kernel evaluated once per patch pair.
+
+    The N^2 form of ``hmimos.correlation.transmit_correlation``: separations
+    come from the patch centers, and the result is symmetrized.
+    """
+    pts = patch_centers(spec)
+    dx = pts[:, 0][:, None] - pts[:, 0][None, :]
+    dy = pts[:, 1][:, None] - pts[:, 1][None, :]
+    # (free-space coordinate, image coordinate, image sign) per co-polarization
+    coord, image_coord, sign = {
+        "xx": (dx, dx, -1.0), "yy": (dy, dy, -1.0), "zz": (0.0, distance, 1.0)
+    }[pol]
+    raw = im_green0_xx(np.hypot(dx, dy), coord, k0)
+    r = np.sqrt(dx * dx + dy * dy + distance * distance)
+    raw += sign * im_green0_xx(r, image_coord, k0)
+    return 0.5 * (raw + raw.T)
 
 
 def correlation_dof(r) -> float:

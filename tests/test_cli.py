@@ -179,7 +179,7 @@ user1.z = 1.0
 
 
 # The console-script smoke scenario with a transmit pitch so small that the
-# channel's squared entries underflow.
+# channel's squared entries underflow and the correlation kernel overflows.
 UNDERFLOW_SCENARIO = """\
 tx.nx = 3
 tx.ny = 3
@@ -204,8 +204,9 @@ user3.cy = -0.7
 @pytest.mark.parametrize(
     "command, message",
     [("dof", "numerical failure: user 1: zero channel has no diversity gain"),
-     ("precode-sweep", "precoding failed: degenerate channel block H: ")],
-    ids=["dof", "precode-sweep"],
+     ("precode-sweep", "precoding failed: degenerate channel block H: "),
+     ("correlation", "numerical failure: user 1: xx correlation is not finite")],
+    ids=["dof", "precode-sweep", "correlation"],
 )
 def test_underflowing_channel_exits_three(tmp_path, capsys, command, message):
     scenario = write(tmp_path, "tiny.cfg", UNDERFLOW_SCENARIO)

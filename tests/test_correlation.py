@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import correlation_dof as dof
-from _oracles import dyadic_green, tp_dof
+from _oracles import dense_transmit_correlation, dyadic_green, tp_dof
 from hmimos.correlation import im_green0_xx, transmit_correlation
 from hmimos.geometry import SurfaceSpec, patch_centers
 
@@ -115,6 +115,37 @@ def test_normalized_diagonal_is_one():
 def test_correlation_symmetric():
     cm = transmit_correlation(SurfaceSpec.grid(4, 3, 0.3), 0.7, K0)
     assert np.allclose(cm.raw, cm.raw.T, atol=1e-14)
+
+
+SHAPES = {
+    "square": SurfaceSpec.grid(6, 6, 0.3),
+    "rectangle": SurfaceSpec.grid(7, 4, 0.25, 0.4),
+    "circle": SurfaceSpec.circle(30, 0.3, 0.2),
+}
+
+
+@pytest.mark.parametrize("z", [0.3, 2.5])
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_offset_table_matches_the_dense_oracle(shape, z):
+    spec = SHAPES[shape]
+    for pol in ("xx", "yy", "zz"):
+        raw = transmit_correlation(spec, z, K0, pol).raw
+        want = dense_transmit_correlation(spec, z, K0, pol)
+        assert np.max(np.abs(raw - want)) <= 1e-13 * np.max(np.abs(want)), pol
+
+
+@pytest.mark.parametrize("shape", ["rectangle", "circle"])
+def test_equal_offsets_give_bit_equal_entries(shape):
+    spec = SHAPES[shape]
+    pts = patch_centers(spec)
+    # (|di|, |dj|) of each pair, from the centers rather than the geometry's indices
+    di = np.rint(np.abs(pts[:, 0][:, None] - pts[:, 0]) / spec.dx).astype(int)
+    dj = np.rint(np.abs(pts[:, 1][:, None] - pts[:, 1]) / spec.dy).astype(int)
+    _, first, offset = np.unique((di * 1000 + dj).ravel(), return_index=True, return_inverse=True)
+    for pol in ("xx", "yy", "zz"):
+        bits = transmit_correlation(spec, 0.7, K0, pol).raw.view(np.uint64)
+        assert np.array_equal(bits.ravel(), bits.ravel()[first][offset]), pol
+        assert np.array_equal(bits, bits.T), pol
 
 
 def test_small_separation_diagonal_composition():

@@ -94,9 +94,9 @@ COLUMN_POOLS = {
 def block_tables(draw):
     """Block tables whose columns draw from one small pool per value type.
 
-    Each block picks, per column, a type and whether the column is a scalar
-    or an array, so values repeat within and across blocks and a column
-    changes type from one block to the next.
+    Each block picks, per column, a type and whether the column is a scalar,
+    an array or coded by indices into the pool, so values repeat within and
+    across blocks and a column changes type from one block to the next.
     """
     width = draw(st.integers(1, 4))
     pools = [{kind: draw(pool) for kind, pool in COLUMN_POOLS.items()} for _ in range(width)]
@@ -105,14 +105,19 @@ def block_tables(draw):
     for _ in range(draw(st.integers(0, 5))):
         n = draw(st.integers(0, 7))
         n_rows += n
-        arrays = draw(st.lists(st.booleans(), min_size=width, max_size=width))
-        arrays[draw(st.integers(0, width - 1))] = True
+        forms = draw(st.lists(st.sampled_from(["scalar", "array", "coded"]),
+                              min_size=width, max_size=width))
+        forms[draw(st.integers(0, width - 1))] = draw(st.sampled_from(["array", "coded"]))
         columns = []
-        for pool, is_array in zip(pools, arrays):
+        for pool, form in zip(pools, forms):
             kind = draw(st.sampled_from(list(pool)))
-            if is_array:
+            if form == "array":
                 values = [draw(st.sampled_from(pool[kind])) for _ in range(n)]
                 columns.append(np.array(values, dtype=DTYPES[kind]))
+            elif form == "coded":
+                codes = [draw(st.integers(0, len(pool[kind]) - 1)) for _ in range(n)]
+                columns.append((np.array(pool[kind], dtype=DTYPES[kind]),
+                                np.array(codes, dtype=np.intp)))
             else:
                 columns.append(draw(st.sampled_from(pool[kind])))
         blocks.append(tuple(columns))
@@ -133,7 +138,11 @@ def test_block_table_bytes_match_the_row_by_row_writer(tmp_path_factory, table, 
     assert got.read_bytes() == want.read_bytes()
 
 
-@pytest.mark.parametrize("block", [(1.5, "x"), (np.zeros(2), np.zeros(3))], ids=["scalars", "ragged"])
+@pytest.mark.parametrize(
+    "block",
+    [(1.5, "x"), (np.zeros(2), np.zeros(3)), (np.zeros(2), (np.zeros(1), np.zeros(3, dtype=np.intp)))],
+    ids=["scalars", "ragged", "ragged-coded"],
+)
 def test_block_needs_array_columns_of_one_length(tmp_path, block):
     table = BlockTable(2, lambda: iter([block]))
     with pytest.raises(ValueError, match="array columns of one length"):

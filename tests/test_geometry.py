@@ -9,6 +9,7 @@ from hmimos.geometry import (
     SurfaceSpec,
     UserPlacement,
     patch_centers,
+    patch_indices,
     validate_near_field,
 )
 
@@ -56,6 +57,19 @@ def test_patch_count_matches_declaration():
         SurfaceSpec.circle(37, 0.3),
     ]:
         assert patch_centers(spec).shape[0] == spec.count
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SurfaceSpec.grid(4, 3, 0.3, 0.2, center=(0.7, -0.4, 0.0)), SurfaceSpec.circle(37, 0.3, 0.2)],
+    ids=["grid", "circle"],
+)
+def test_patch_indices_step_with_the_centers(spec):
+    ix, iy = patch_indices(spec)
+    assert ix.dtype.kind == iy.dtype.kind == "i"
+    pts = patch_centers(spec)
+    for idx, coord, step in ((ix, pts[:, 0], spec.dx), (iy, pts[:, 1], spec.dy)):
+        assert np.allclose(coord - idx * step, coord[0] - idx[0] * step, rtol=0, atol=1e-12)
 
 
 def test_grid_reflection_symmetry():
