@@ -4,9 +4,13 @@ function.
 Every transmit/receive patch pair contributes a 3x3 dyadic block; the blocks
 are written into one polarization-major 3 N_r x 3 N_s matrix whose nine
 N_r x N_s sub-blocks are the co-/cross-polarized channels H_pq (receive
-polarization p, transmit polarization q).  The model is deterministic: unit
-surface currents, no fading, no noise realizations.  A global i*omega*mu gain
-constant is omitted; it cancels in every normalized metric.
+polarization p, transmit polarization q).  A block depends only on the
+pair's center offset, so each user's kernel runs once per distinct offset
+and the blocks are gathered from that table: at equal receive and transmit
+pitch, pairs at equal grid offset get bit-equal blocks.  The model is
+deterministic: unit surface currents, no fading, no noise realizations.  A
+global i*omega*mu gain constant is omitted; it cancels in every normalized
+metric.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularityError
-from .geometry import Scenario, patch_centers
+from .geometry import Scenario, SurfaceSpec, patch_centers, patch_indices
 
 POLS = ("x", "y", "z")
 POL_INDEX = {"x": 0, "y": 1, "z": 2}
@@ -148,20 +152,82 @@ class PolarizedChannel:
         return rows.reshape(-1, self.matrix.shape[1])
 
 
+def _index_frame(spec: SurfaceSpec):
+    """Grid indices (ix, iy) of a surface's patches and the center of index (0, 0)."""
+    ix, iy = patch_indices(spec)
+    return ix, iy, patch_centers(spec)[0] - (ix[0] * spec.dx, iy[0] * spec.dy, 0.0)
+
+
+def _axis_offsets(i_r, i_t, d_r: float, d_t: float, shift: float):
+    """Distinct receive-minus-transmit offsets along one axis, and each pair's code.
+
+    Receive patch n sits at ``i_r[n] * d_r`` and transmit patch m at
+    ``i_t[m] * d_t``, ``shift`` apart at index 0.  Offsets are formed on the
+    small grid of index ranges as ``(i_r - i_t) * d_t + i_r * (d_r - d_t) +
+    shift``: at equal pitch the middle term is exactly zero, so equal index
+    differences give bit-equal offsets and share one code.  Returns the
+    sorted distinct offsets and the (n_r, n_t) codes into them.
+    """
+    r0, t0 = i_r.min(), i_t.min()
+    u_r = np.arange(r0, i_r.max() + 1)[:, None]
+    u_t = np.arange(t0, i_t.max() + 1)
+    grid = (u_r - u_t) * d_t + u_r * (d_r - d_t) + shift
+    values, inverse = np.unique(grid, return_inverse=True)
+    return values, inverse.reshape(grid.shape)[(i_r - r0)[:, None], i_t - t0]
+
+
+def _offset_table(rx: SurfaceSpec, tx: SurfaceSpec, tx_frame):
+    """One user's offset table (T, 3) and each pair's row in it (N̄_r, N_s).
+
+    The table is every distinct x offset against every distinct y offset,
+    x varying fastest.
+    """
+    ix, iy, origin = _index_frame(rx)
+    tx_ix, tx_iy, tx_origin = tx_frame
+    shift = origin - tx_origin
+    x_off, x_code = _axis_offsets(ix, tx_ix, rx.dx, tx.dx, shift[0])
+    y_off, code = _axis_offsets(iy, tx_iy, rx.dy, tx.dy, shift[1])
+    code *= x_off.size
+    code += x_code
+    diff = np.empty((y_off.size, x_off.size, 3))
+    diff[..., 0] = x_off
+    diff[..., 1] = y_off[:, None]
+    diff[..., 2] = shift[2]
+    return diff.reshape(-1, 3), code
+
+
 def assemble_channel(scenario: Scenario) -> PolarizedChannel:
     """Build the polarized channel for every user of a scenario.
 
-    One :func:`pair_blocks` evaluation over all users' stacked receive
-    patches; each row carries its own user's receive patch area.
+    Each user's offset table comes from the
+    :func:`~hmimos.geometry.patch_indices` of both surfaces (a circle's from
+    its bounding grid).  One :func:`pair_blocks` evaluation covers all
+    users' tables, each entry with its user's receive patch area, and the
+    nine H_pq blocks are gathered from it through one N_r x N_s code array.
+    At equal receive and transmit pitch a user's table has
+    span_r + span_t + 1 offsets per axis and pairs at equal grid offset get
+    bit-equal blocks; at unequal pitch it has about one entry per pair.
     """
     tx_spec = scenario.transmit
-    tx = patch_centers(tx_spec)
-    surfaces = [u.surface for u in scenario.users]
-    rx = np.vstack([patch_centers(spec) for spec in surfaces])
-    counts = [spec.count for spec in surfaces]
-    area = np.repeat([tx_spec.dx * tx_spec.dy * spec.dx * spec.dy for spec in surfaces], counts)
-    matrix = pair_blocks(
-        rx[:, None, :] - tx[None, :, :], (tx_spec.dx, tx_spec.dy), area[:, None], scenario.k0
-    )
-    offsets = np.concatenate([[0], np.cumsum(counts)])
+    tx_frame = _index_frame(tx_spec)
+    diffs, codes = [], []
+    n_entries = 0
+    for user in scenario.users:
+        diff, code = _offset_table(user.surface, tx_spec, tx_frame)
+        code += n_entries
+        n_entries += len(diff)
+        diffs.append(diff)
+        codes.append(code)
+    areas = [tx_spec.dx * tx_spec.dy * u.surface.dx * u.surface.dy for u in scenario.users]
+    area = np.repeat(areas, [len(d) for d in diffs])
+    table = block_view(
+        pair_blocks(np.vstack(diffs)[:, None], (tx_spec.dx, tx_spec.dy), area[:, None], scenario.k0)
+    )[..., 0]
+    pair_code = np.vstack(codes)
+    matrix = np.empty((3 * pair_code.shape[0], 3 * pair_code.shape[1]), dtype=np.complex128)
+    blocks = block_view(matrix)
+    for p in range(3):
+        for q in range(3):
+            blocks[p, q] = table[p, q][pair_code]
+    offsets = np.concatenate([[0], np.cumsum([u.surface.count for u in scenario.users])])
     return PolarizedChannel(matrix=matrix, user_offsets=tuple(int(o) for o in offsets))

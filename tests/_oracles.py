@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from hmimos.channel import POLS
+from hmimos.channel import POLS, pair_blocks
 from hmimos.correlation import im_green0_xx, transmit_correlation
 from hmimos.errors import SingularityError
 from hmimos.geometry import patch_centers
@@ -37,6 +37,24 @@ def dyadic_green(r, rp, k0: float) -> np.ndarray:
     unit = diff / d
     c1, c2 = radial_coeffs(k0 * d)
     return (c1 * np.eye(3) + c2 * np.outer(unit, unit)) * g
+
+
+def dense_assemble_channel(scenario) -> np.ndarray:
+    """Polarization-major channel with the kernel evaluated once per patch pair.
+
+    The N_r x N_s form of ``hmimos.channel.assemble_channel``: offsets are
+    differences of the patch centers, with every user's receive patches
+    stacked and each row carrying its own user's receive patch area.
+    """
+    tx_spec = scenario.transmit
+    tx = patch_centers(tx_spec)
+    surfaces = [u.surface for u in scenario.users]
+    rx = np.vstack([patch_centers(spec) for spec in surfaces])
+    counts = [spec.count for spec in surfaces]
+    area = np.repeat([tx_spec.dx * tx_spec.dy * spec.dx * spec.dy for spec in surfaces], counts)
+    return pair_blocks(
+        rx[:, None, :] - tx[None, :, :], (tx_spec.dx, tx_spec.dy), area[:, None], scenario.k0
+    )
 
 
 def dense_transmit_correlation(spec, distance: float, k0: float, pol: str = "xx") -> np.ndarray:

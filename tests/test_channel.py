@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import dyadic_green, scalar_green, significant_count
+from _oracles import dense_assemble_channel, dyadic_green, scalar_green, significant_count
 from _support import two_user_scenario
 from hmimos.channel import assemble_channel, pair_blocks, radial_coeffs
 from hmimos.errors import SingularityError
-from hmimos.geometry import Scenario, SurfaceSpec, UserPlacement
+from hmimos.geometry import Scenario, SurfaceSpec, UserPlacement, patch_indices
 from hmimos.metrics import capacity, capacity_families, eigen_spectrum
 from hmimos.precoding import cross_polar_system
 
@@ -155,6 +155,78 @@ def test_boresight_cross_blocks_exactly_zero():
         for q in "xyz":
             if p != q:
                 assert np.count_nonzero(channel.block(p, q)) == 0
+
+
+TRANSMITTERS = {
+    "square": SurfaceSpec.grid(6, 6, 0.37),
+    "rectangle": SurfaceSpec.grid(7, 4, 0.3, 0.45),
+    "circle": SurfaceSpec.circle(30, 0.33, 0.29),
+}
+
+
+def offset_users(tx, scale=(1.0, 1.0)):
+    """Three laterally offset users and one on boresight, at the transmit pitch times ``scale``."""
+    d = (tx.dx * scale[0], tx.dy * scale[1])
+    surfaces = (
+        SurfaceSpec.grid(3, 2, *d, center=(0.5, -0.3, 1.2), role="receive"),
+        SurfaceSpec.circle(7, *d, center=(-0.7, 0.2, 2.0), role="receive"),
+        SurfaceSpec.grid(2, 2, *d, center=(0.31, 0.77, 1.6), role="receive"),
+        SurfaceSpec.grid(3, 3, *d, center=(0.0, 0.0, 2.5), role="receive"),
+    )
+    return Scenario(
+        wavelength=1.0, transmit=tx, users=tuple(UserPlacement(s, s.center[2]) for s in surfaces)
+    )
+
+
+@pytest.mark.parametrize("scale", [(1.0, 1.0), (0.8, 1.1)], ids=["equal-pitch", "unequal-pitch"])
+@pytest.mark.parametrize("layout", sorted(TRANSMITTERS))
+def test_offset_table_matches_the_dense_oracle(layout, scale):
+    scenario = offset_users(TRANSMITTERS[layout], scale)
+    got = assemble_channel(scenario).stacked()
+    want = dense_assemble_channel(scenario)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("layout", ["square", "circle"])
+def test_equal_grid_offsets_give_bit_equal_entries(layout):
+    tx = TRANSMITTERS[layout]
+    scenario = offset_users(tx)
+    channel = assemble_channel(scenario)
+    tx_ix, tx_iy = patch_indices(tx)
+    for k, user in enumerate(scenario.users):
+        ix, iy = patch_indices(user.surface)
+        offset = np.stack([ix[:, None] - tx_ix, iy[:, None] - tx_iy], axis=-1).reshape(-1, 2)
+        _, first, group = np.unique(offset, axis=0, return_index=True, return_inverse=True)
+        assert first.size < len(offset)  # some offsets repeat
+        entries = channel.blocks[:, :, channel.user_rows(k)].reshape(3, 3, -1)
+        assert np.array_equal(entries[..., first[group.reshape(-1)]], entries)
+
+
+def reflection(spec, axis):
+    """Patch permutation of a grid reflected along ``axis`` (0 = x, 1 = y)."""
+    ix, iy = patch_indices(spec)
+    if axis == 0:
+        ix = spec.nx - 1 - ix
+    else:
+        iy = spec.ny - 1 - iy
+    return iy * spec.nx + ix
+
+
+@pytest.mark.parametrize("spec", [SurfaceSpec.grid(5, 5, 0.37), SurfaceSpec.grid(6, 3, 0.3, 0.45)],
+                         ids=["square", "rectangle"])
+def test_mirrored_pair_commutes_with_its_reflections(spec):
+    rx = SurfaceSpec.grid(spec.nx, spec.ny, spec.dx, spec.dy, center=(0.0, 0.0, 2.0), role="receive")
+    scenario = Scenario(wavelength=1.0, transmit=spec, users=(UserPlacement(rx, 2.0),))
+    h = assemble_channel(scenario).stacked()
+    n = spec.count
+    for axis in (0, 1):
+        flip = np.ones(3)
+        flip[axis] = -1.0  # diag(-1, 1, 1) in x, diag(1, -1, 1) in y
+        index = np.concatenate([p * n + reflection(spec, axis) for p in range(3)])
+        sign = np.repeat(flip, n)
+        reflected = sign[:, None] * h[np.ix_(index, index)] * sign
+        assert np.linalg.norm(reflected - h) <= 1e-14 * np.linalg.norm(h)
 
 
 def test_channel_magnitude_decays_with_distance():
