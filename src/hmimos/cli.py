@@ -11,6 +11,7 @@ pipeline runs on one thread.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -99,7 +100,10 @@ def _csv_list(text: str) -> list[str]:
     return [p.strip() for p in text.split(",") if p.strip()]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``hmimos`` parser, built once per process: ``parse_args`` keeps
+    nothing from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="hmimos",
         description="Near-field tri-polarized holographic MIMO surface simulator",

@@ -7,14 +7,19 @@ with 17 significant digits.
 Rows arrive either as a sequence of tuples or as a :class:`BlockTable`, whose
 blocks hold each column as a scalar shared by the block, as a 1-D numpy
 array, or coded as ``(values, codes)``.  Tuples are written row by row, one
-``fmt`` call per value.  A coded column formats each of its ``values`` once
-and gathers the texts by ``codes``.  An array column first finds its
-distinct values (``np.unique``), floats told apart by their bits, and is then
-written as the coded column they give.  The text is exactly what ``fmt``
-gives per value.
+``fmt`` call per value, ``CHUNK_ROWS`` lines per write.
 
-Lines are joined and written ``CHUNK_ROWS`` at a time.  The writer holds one
-block's arrays and their texts at a time, never the whole table or file.
+A block is written in one text pass.  Each column first becomes its texts:
+a scalar one text, a coded column one text per value, and an array column
+one per distinct value (``np.unique``, floats told apart by their bits),
+gathered by the codes that gives, or one per row when no value repeats.
+Each run of scalar columns is then folded into the texts of the next column
+(a trailing run into the column before it), and adjacent coded columns that
+share one ``codes`` array are joined once per value.  Every ``CHUNK_ROWS``
+rows of the block are gathered into a rows x pieces grid of texts and
+written with one join.  The text is exactly what ``fmt`` gives per value.
+The writer holds one block's arrays and texts at a time, never the whole
+table or file.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import os
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -81,54 +86,86 @@ def _block_length(columns) -> int:
     return lengths.pop()
 
 
-def _texts(values: list, sep: str) -> list[str]:
-    """``fmt(v) + sep`` of each value of a list of one type."""
-    if values and type(values[0]) is float:
-        return [format(v, _FLOAT_SPEC) + sep for v in values]  # fmt without its type checks
-    return [fmt(v) + sep for v in values]
+def _texts(values: np.ndarray, sep: str) -> np.ndarray:
+    """``fmt(v) + sep`` of each value, as an object array."""
+    items = values.tolist()
+    kind = values.dtype.kind
+    if kind in "iu" or (kind == "f" and values.dtype.itemsize <= 8):  # Python ints or floats
+        # "%.17g" % v runs the same routine as format(v, ".17g"), and "%d" % v
+        # the same as str(v); sep holds no "%".
+        spec = _FLOAT_SPEC if kind == "f" else "d"
+        texts = map(f"%{spec}{sep}".__mod__, items)
+    else:
+        texts = (fmt(v) + sep for v in items)
+    return np.fromiter(texts, dtype=object, count=len(items))
 
 
-def _array_text(arr: np.ndarray, sep: str) -> list[str]:
-    """``fmt(v) + sep`` of each array value, formatting each distinct value once.
+def _column_texts(column, sep: str):
+    """One column as its text (a scalar) or as ``(texts, codes)``.
 
-    A float column is keyed by its bits, so ``0.0``, ``-0.0`` and NaNs of
-    different bits stay apart; each key prints one way.
+    Row i of ``(texts, codes)`` reads ``texts[codes[i]]``, or ``texts[i]``
+    when ``codes`` is None.  An array column is keyed by its bits when it
+    is a float column, so ``0.0``, ``-0.0`` and NaNs of different bits stay
+    apart, and formats each distinct value once; when no value repeats (a
+    channel block at unequal pitch) gathering gains nothing and it stays
+    plain.
     """
-    keys = arr.view(f"u{arr.itemsize}") if arr.dtype.kind == "f" else arr
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    if distinct.size == arr.size:
-        # No value repeats in the block (a channel block): gathering gains nothing.
-        return _texts(arr.tolist(), sep)
-    return _coded_text(distinct.view(arr.dtype), inverse, sep)
+    if isinstance(column, tuple):
+        values, codes = column
+        return _texts(values, sep), codes
+    if isinstance(column, np.ndarray):
+        keys = column.view(f"u{column.itemsize}") if column.dtype.kind == "f" else column
+        distinct, codes = np.unique(keys, return_inverse=True)
+        if distinct.size == column.size:
+            return _texts(column, sep), None
+        return _texts(distinct.view(column.dtype), sep), codes
+    return fmt(column) + sep
 
 
-def _coded_text(values: np.ndarray, codes: np.ndarray, sep: str) -> list[str]:
-    """``fmt(values[c]) + sep`` of each code, formatting each value once."""
-    texts = _texts(values.tolist(), sep)
-    return np.array(texts, dtype=object)[codes].tolist()
+def _block_chunks(columns) -> Iterable[str]:
+    """The text of one block, ``CHUNK_ROWS`` lines per string.
 
-
-def _block_lines(columns) -> Iterable[str]:
-    """The text lines of one block, each ending in a newline."""
+    Each run of scalar columns is folded into the texts of the next column
+    (the last run into the column before it), and adjacent coded columns
+    that share one ``codes`` array are joined once per value: a line is then
+    a few pieces, gathered by codes into a rows x pieces grid and joined in
+    one call.
+    """
     n = _block_length(columns)
-    width = len(columns)
-    pieces = []
-    for j, col in enumerate(columns):
-        sep = "," if j < width - 1 else "\n"
-        if isinstance(col, np.ndarray):
-            pieces.append(_array_text(col, sep))
-        elif isinstance(col, tuple):
-            pieces.append(_coded_text(*col, sep))
+    last = len(columns) - 1
+    pieces = []  # [texts, codes] per piece of a line, in column order
+    run = ""  # scalar texts not yet folded into a piece
+    for j, column in enumerate(columns):
+        col = _column_texts(column, "," if j < last else "\n")
+        if isinstance(col, str):
+            run += col
+            continue
+        texts, codes = col
+        if run:
+            texts, run = run + texts, ""
+        if pieces and codes is not None and pieces[-1][1] is codes:
+            head = pieces[-1][0]
+            size = min(len(head), len(texts))
+            pieces[-1][0] = head[:size] + texts[:size]
         else:
-            pieces.append(repeat(fmt(col) + sep, n))
-    return map("".join, zip(*pieces))
+            pieces.append([texts, codes])
+    if run:
+        pieces[-1][0] = pieces[-1][0] + run
+    for start in range(0, n, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n)
+        grid = np.empty((stop - start, len(pieces)), dtype=object)
+        for j, (texts, codes) in enumerate(pieces):
+            grid[:, j] = texts[start:stop] if codes is None else texts[codes[start:stop]]
+        yield "".join(grid.ravel().tolist())
 
 
 def _write_rows(out, rows) -> None:
     if isinstance(rows, BlockTable):
-        lines = chain.from_iterable(map(_block_lines, rows.blocks()))
-    else:
-        lines = (",".join(map(fmt, row)) + "\n" for row in rows)
+        for columns in rows.blocks():
+            for text in _block_chunks(columns):
+                out.write(text)
+        return
+    lines = (",".join(map(fmt, row)) + "\n" for row in rows)
     while text := "".join(islice(lines, CHUNK_ROWS)):
         out.write(text)
 

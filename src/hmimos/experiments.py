@@ -127,21 +127,21 @@ CAPACITY_COLUMNS = ("snr_db", "family", "capacity")
 SE_COLUMNS = ("scheme", "pa", "snr_db", "spectral_efficiency")
 
 
-def _entry_indices(n_rows: int, n_cols: int):
-    """1-based (row, column) index arrays of a row-major raveled n_rows x n_cols matrix."""
-    return (
-        np.repeat(np.arange(1, n_rows + 1), n_cols),
-        np.tile(np.arange(1, n_cols + 1), n_rows),
-    )
-
-
 def channel_rows(scenario: Scenario) -> BlockTable:
     """Rows (rx_pol, tx_pol, user, rx_patch, tx_patch, re, im) of every channel entry.
 
     One block per (rx pol, tx pol, user) sub-matrix, cut from the assembled
-    channel as the table is iterated.
+    channel as the table is iterated.  ``rx_patch`` and ``tx_patch`` are
+    coded over the patch labels of each user's row-major N_r x N_s matrix.
     """
     channel = assemble_channel(scenario)
+    n_tx = scenario.transmit.count
+    tx_labels = np.arange(1, n_tx + 1)
+    patch_codes = []
+    for k in range(channel.n_users):
+        n_rx = scenario.users[k].surface.count
+        rx_codes, tx_codes = np.divmod(np.arange(n_rx * n_tx), n_tx)
+        patch_codes.append(((np.arange(1, n_rx + 1), rx_codes), (tx_labels, tx_codes)))
 
     def blocks():
         for p in POLS:
@@ -149,8 +149,7 @@ def channel_rows(scenario: Scenario) -> BlockTable:
                 block = channel.block(p, q)
                 for k in range(channel.n_users):
                     sub = block[channel.user_rows(k)]
-                    yield (p, q, k + 1, *_entry_indices(*sub.shape),
-                           sub.real.ravel(), sub.imag.ravel())
+                    yield (p, q, k + 1, *patch_codes[k], sub.real.ravel(), sub.imag.ravel())
 
     return BlockTable(channel.matrix.size, blocks)
 

@@ -1,7 +1,8 @@
-"""Reference formulas that the tests compare the library against.
+"""Reference formulas and the reference CSV writer that the tests compare the library against.
 
 None of these is on a pipeline path: they evaluate the textbook closed forms
-one point at a time, independent of the vectorized kernels in ``hmimos``.
+one point at a time, or format a CSV one value at a time, independent of the
+vectorized kernels and the block writer in ``hmimos``.
 """
 
 import math
@@ -10,9 +11,19 @@ import numpy as np
 
 from hmimos.channel import POLS, pair_blocks
 from hmimos.correlation import im_green0_xx, transmit_correlation
+from hmimos.csvio import fmt
 from hmimos.errors import SingularityError
 from hmimos.geometry import patch_centers
 from hmimos.precoding import cluster_users, two_layer_precoder
+
+
+def oracle_write(path, config, columns, rows):
+    """The original CSV writer: one ``fmt`` call per value, the whole text at once."""
+    lines = [f"# {config}", ",".join(columns)]
+    for row in rows:
+        lines.append(",".join(fmt(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def scalar_green(r, rp, k0: float) -> complex:

@@ -7,6 +7,7 @@ from hmimos import cli
 from hmimos.cli import MAX_ABS_SNR_DB, MAX_SNR_POINTS, main, parse_snr_range
 from hmimos.config import load_scenario, parse_keyvalues, scenario_from_keyvalues
 from hmimos.errors import ConfigError
+from hmimos.numerics import DEFAULT_TOL
 
 K2_SCENARIO = """\
 # two users, 4 receive patches each
@@ -293,6 +294,38 @@ def test_rows_given_to_the_writer_count_the_written_rows(tmp_path, monkeypatch, 
     (written,) = [p for p in tmp_path.iterdir() if p.suffix == ".csv"]
     _, rows = read_rows(written)
     assert lengths == [len(rows)]
+
+
+def test_successive_calls_share_no_parsed_state(tmp_path, monkeypatch):
+    # The parser is built once per process; each call still parses afresh.
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda args: seen.append(vars(args).copy()) or [])
+    common = ["--scenario", "s.cfg", "--out", str(tmp_path)]
+    calls = [
+        ["precode-sweep", "--snr", "0:5:10", "--tol", "0.1", "--schemes", "uc", "--pa", "pa2"],
+        ["precode-sweep"],
+        ["precode-sweep", "--tol", "0.5"],
+        ["channel"],
+        ["capacity", "--snr", "-5:1:5"],
+        ["capacity"],
+        ["precode-sweep", "--tol", "2"],  # refused: nothing reaches run
+        ["correlation"],
+    ]
+    codes = [main(argv[:1] + common + argv[1:]) for argv in calls]
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 0]
+    base = {"scenario": Path("s.cfg"), "out": tmp_path}
+    sweep = dict(base, command="precode-sweep", snr="-10:2:20", tol=DEFAULT_TOL,
+                 schemes="two-layer,uc", pa="pa1,pa2,pa3")
+    assert seen == [
+        dict(sweep, snr="0:5:10", tol=0.1, schemes="uc", pa="pa2"),
+        sweep,
+        dict(sweep, tol=0.5),
+        dict(base, command="channel"),
+        dict(base, command="capacity", snr="-5:1:5"),
+        dict(base, command="capacity", snr="-10:2:20"),
+        dict(base, command="correlation"),
+    ]
 
 
 def test_missing_scenario_file_exits_two(tmp_path, capsys):

@@ -8,17 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import oracle_write
 from hmimos import csvio
 from hmimos.csvio import CHUNK_ROWS, BlockTable, fmt, write_csv
-
-
-def oracle_write(path, config, columns, rows):
-    """The original writer: one ``fmt`` call per value, the whole text at once."""
-    lines = [f"# {config}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
 
 
 def assert_same_bytes(tmp_path, rows, columns=None):
@@ -82,42 +74,62 @@ def test_bytes_match_the_row_by_row_writer(tmp_path_factory, rows, chunk):
 
 # Array dtype of each Python value type a block column may hold.
 DTYPES = {float: np.float64, int: np.int64, str: np.str_}
+# Text that a "%"-template, a field separator or a line end could mistake
+# for its own.
+AWKWARD_TEXT = st.lists(
+    st.sampled_from(["%", "%d", "%.17g", ",", "\n", "x"]), max_size=3
+).map("".join)
 COLUMN_POOLS = {
     float: st.lists(st.one_of(FLOAT_EDGES, st.floats(allow_subnormal=True)), min_size=1, max_size=6),
     int: st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6),
-    str: st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+    str: st.lists(st.one_of(st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+                            AWKWARD_TEXT),
                   min_size=1, max_size=6),
 }
+# Column forms: a scalar, an array of pool values, an array of floats that
+# never repeat (written plain), a coded column, and a coded column that
+# shares the codes array of the block's first coded column.
+FORMS = ["scalar", "array", "distinct", "coded", "shared"]
 
 
 @st.composite
 def block_tables(draw):
     """Block tables whose columns draw from one small pool per value type.
 
-    Each block picks, per column, a type and whether the column is a scalar,
-    an array or coded by indices into the pool, so values repeat within and
-    across blocks and a column changes type from one block to the next.
+    Each block picks, per column, a type and one of ``FORMS``, so values
+    repeat within and across blocks, scalars come in runs before, between
+    and after the other columns, coded columns share codes side by side or
+    apart, and a column changes type from one block to the next.
     """
-    width = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 6))
     pools = [{kind: draw(pool) for kind, pool in COLUMN_POOLS.items()} for _ in range(width)]
     blocks = []
     n_rows = 0
     for _ in range(draw(st.integers(0, 5))):
         n = draw(st.integers(0, 7))
         n_rows += n
-        forms = draw(st.lists(st.sampled_from(["scalar", "array", "coded"]),
-                              min_size=width, max_size=width))
-        forms[draw(st.integers(0, width - 1))] = draw(st.sampled_from(["array", "coded"]))
+        forms = draw(st.lists(st.sampled_from(FORMS), min_size=width, max_size=width))
+        forms[draw(st.integers(0, width - 1))] = draw(st.sampled_from(FORMS[1:]))
         columns = []
+        shared = None  # (number of values, codes) of the block's first coded column
         for pool, form in zip(pools, forms):
             kind = draw(st.sampled_from(list(pool)))
-            if form == "array":
+            if form == "shared" and shared is not None:
+                size, codes = shared
+                values = [draw(st.sampled_from(pool[kind])) for _ in range(size)]
+                columns.append((np.array(values, dtype=DTYPES[kind]), codes))
+            elif form in ("coded", "shared"):
+                codes = np.array([draw(st.integers(0, len(pool[kind]) - 1)) for _ in range(n)],
+                                 dtype=np.intp)
+                shared = shared or (len(pool[kind]), codes)
+                columns.append((np.array(pool[kind], dtype=DTYPES[kind]), codes))
+            elif form == "distinct":
+                values = draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n,
+                                       unique=True))
+                columns.append(np.array(values, dtype=np.float64))
+            elif form == "array":
                 values = [draw(st.sampled_from(pool[kind])) for _ in range(n)]
                 columns.append(np.array(values, dtype=DTYPES[kind]))
-            elif form == "coded":
-                codes = [draw(st.integers(0, len(pool[kind]) - 1)) for _ in range(n)]
-                columns.append((np.array(pool[kind], dtype=DTYPES[kind]),
-                                np.array(codes, dtype=np.intp)))
             else:
                 columns.append(draw(st.sampled_from(pool[kind])))
         blocks.append(tuple(columns))

@@ -7,13 +7,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import cluster_sum_rate, two_layer_sum_rate
+from _oracles import cluster_sum_rate, oracle_write, two_layer_sum_rate
 from _support import random_nf_scenario
 from hmimos import csvio
 from hmimos.channel import POLS, assemble_channel
 from hmimos.correlation import transmit_correlation
+from hmimos.csvio import write_csv
 from hmimos.experiments import (
     CO_POLS,
+    CORRELATION_COLUMNS,
     PA_NAMES,
     SCHEMES,
     SNR_GRID,
@@ -103,6 +105,35 @@ def test_channel_rows_match_the_nested_loops(mixed_scenario):
 
 def test_correlation_rows_match_the_nested_loops(mixed_scenario):
     assert_same_table(correlation_rows(mixed_scenario), oracle_correlation_rows(mixed_scenario))
+
+
+def equal_pitch(scenario):
+    """The scenario with every receive surface at the transmitter's pitch."""
+    tx = scenario.transmit
+    return replace(scenario, users=tuple(
+        replace(u, surface=replace(u.surface, dx=tx.dx, dy=tx.dy)) for u in scenario.users
+    ))
+
+
+@pytest.mark.parametrize("pitch", ["unequal", "equal"])
+def test_exports_match_the_row_by_row_writer(tmp_path, mixed_scenario, pitch):
+    scenario = mixed_scenario if pitch == "unequal" else equal_pitch(mixed_scenario)
+    table = channel_rows(scenario)
+    # Both routes of an array column are taken: a block whose re column never
+    # repeats is written plain (the single-patch user; every grid user at
+    # unequal pitch), one that repeats is written coded (the grid users at
+    # equal pitch, one value per grid offset; the circle's mirrored offsets).
+    repeats = [np.unique(block[5]).size < block[5].size for block in table.blocks()]
+    assert any(repeats) and not all(repeats)
+    for name, columns, got, want in [
+        ("channel", ("rx_pol", "tx_pol", "user", "rx_patch", "tx_patch", "re", "im"),
+         table, oracle_channel_rows(scenario)),
+        ("correlation", ("user", *CORRELATION_COLUMNS),
+         correlation_rows(scenario), oracle_correlation_rows(scenario)),
+    ]:
+        written = write_csv(tmp_path / f"{name}.csv", "cfg", columns, got)
+        expected = oracle_write(tmp_path / f"{name}_oracle.csv", "cfg", columns, want)
+        assert written.read_bytes() == expected.read_bytes()
 
 
 def test_correlation_cut_matches_the_nested_loops():
