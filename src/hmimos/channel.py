@@ -109,11 +109,16 @@ class PolarizedChannel:
     y, then z, against the x, y and z transmit columns.  Every other form is
     a view of it: ``blocks[p, q]`` is the N_r x N_s sub-channel received on
     polarization p and transmitted on polarization q, with rows stacking the
-    users in scenario order.
+    users in scenario order.  ``matrix`` is gathered from the offset table:
+    ``blocks[p, q] == table[p, q][pair_code]``, and user k's pairs read
+    entries ``table_offsets[k]`` to ``table_offsets[k + 1]`` of it.
     """
 
     matrix: np.ndarray  # (3 N_r, 3 N_s) complex
     user_offsets: tuple[int, ...]  # row offsets per user, len K + 1
+    table: np.ndarray  # (3, 3, T) complex, one 3x3 block per patch offset
+    pair_code: np.ndarray  # (N_r, N_s) entry of each pair's block in ``table``
+    table_offsets: tuple[int, ...]  # first table entry per user, len K + 1
 
     @property
     def n_users(self) -> int:
@@ -203,31 +208,36 @@ def assemble_channel(scenario: Scenario) -> PolarizedChannel:
     :func:`~hmimos.geometry.patch_indices` of both surfaces (a circle's from
     its bounding grid).  One :func:`pair_blocks` evaluation covers all
     users' tables, each entry with its user's receive patch area, and the
-    nine H_pq blocks are gathered from it through one N_r x N_s code array.
-    At equal receive and transmit pitch a user's table has
-    span_r + span_t + 1 offsets per axis and pairs at equal grid offset get
-    bit-equal blocks; at unequal pitch it has about one entry per pair.
+    nine H_pq blocks are gathered from it through one N_r x N_s code array;
+    the channel keeps both.  At equal receive and transmit pitch a user's
+    table has span_r + span_t + 1 offsets per axis and pairs at equal grid
+    offset get bit-equal blocks; at unequal pitch it has about one entry per
+    pair.  A user whose table is not finite raises ``np.linalg.LinAlgError``.
     """
     tx_spec = scenario.transmit
     tx_frame = _index_frame(tx_spec)
     diffs, codes = [], []
-    n_entries = 0
+    table_offsets = [0]
     for user in scenario.users:
         diff, code = _offset_table(user.surface, tx_spec, tx_frame)
-        code += n_entries
-        n_entries += len(diff)
+        code += table_offsets[-1]
+        table_offsets.append(table_offsets[-1] + len(diff))
         diffs.append(diff)
         codes.append(code)
     areas = [tx_spec.dx * tx_spec.dy * u.surface.dx * u.surface.dy for u in scenario.users]
-    area = np.repeat(areas, [len(d) for d in diffs])
-    table = block_view(
-        pair_blocks(np.vstack(diffs)[:, None], (tx_spec.dx, tx_spec.dy), area[:, None], scenario.k0)
-    )[..., 0]
+    area = np.repeat(areas, np.diff(table_offsets))
+    with np.errstate(all="ignore"):  # an offset or pitch that overflows is refused below
+        table = block_view(pair_blocks(
+            np.vstack(diffs)[:, None], (tx_spec.dx, tx_spec.dy), area[:, None], scenario.k0
+        ))[..., 0]
+    for k, (lo, hi) in enumerate(zip(table_offsets, table_offsets[1:])):
+        if not np.isfinite(table[..., lo:hi]).all():
+            raise np.linalg.LinAlgError(f"user {k + 1}: channel is not finite at these offsets")
     pair_code = np.vstack(codes)
     matrix = np.empty((3 * pair_code.shape[0], 3 * pair_code.shape[1]), dtype=np.complex128)
     blocks = block_view(matrix)
     for p in range(3):
         for q in range(3):
             blocks[p, q] = table[p, q][pair_code]
-    offsets = np.concatenate([[0], np.cumsum([u.surface.count for u in scenario.users])])
-    return PolarizedChannel(matrix=matrix, user_offsets=tuple(int(o) for o in offsets))
+    offsets = np.cumsum([0] + [u.surface.count for u in scenario.users]).tolist()
+    return PolarizedChannel(matrix, tuple(offsets), table, pair_code, tuple(table_offsets))

@@ -154,7 +154,10 @@ def run(args) -> list[Path]:
         return figure_preset(args.preset, args.out)
 
     # One read: the scenario and the CSV comment line describe the same text.
-    text = args.scenario.read_text()
+    try:
+        text = args.scenario.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # reported as a file error, exit 2
+        raise OSError(f"'{args.scenario}' is not UTF-8 text: {exc}") from None
     scenario = load_scenario(args.scenario, text)
     cfg = _scenario_config(args.scenario, text)
     out = Path(args.out)

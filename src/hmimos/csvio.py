@@ -11,15 +11,13 @@ array, or coded as ``(values, codes)``.  Tuples are written row by row, one
 
 A block is written in one text pass.  Each column first becomes its texts:
 a scalar one text, a coded column one text per value, and an array column
-one per distinct value (``np.unique``, floats told apart by their bits),
-gathered by the codes that gives, or one per row when no value repeats.
-Each run of scalar columns is then folded into the texts of the next column
-(a trailing run into the column before it), and adjacent coded columns that
-share one ``codes`` array are joined once per value.  Every ``CHUNK_ROWS``
-rows of the block are gathered into a rows x pieces grid of texts and
-written with one join.  The text is exactly what ``fmt`` gives per value.
-The writer holds one block's arrays and texts at a time, never the whole
-table or file.
+one text per row.  Each run of scalar columns is then folded into the texts
+of the next column (a trailing run into the column before it), and adjacent
+coded columns that share one ``codes`` array are joined once per value.
+Every ``CHUNK_ROWS`` rows of the block are gathered into a rows x pieces
+grid of texts and written with one join.  The text is exactly what ``fmt``
+gives per value.  The writer holds one block's arrays and texts at a time,
+never the whole table or file.
 """
 
 from __future__ import annotations
@@ -103,22 +101,14 @@ def _texts(values: np.ndarray, sep: str) -> np.ndarray:
 def _column_texts(column, sep: str):
     """One column as its text (a scalar) or as ``(texts, codes)``.
 
-    Row i of ``(texts, codes)`` reads ``texts[codes[i]]``, or ``texts[i]``
-    when ``codes`` is None.  An array column is keyed by its bits when it
-    is a float column, so ``0.0``, ``-0.0`` and NaNs of different bits stay
-    apart, and formats each distinct value once; when no value repeats (a
-    channel block at unequal pitch) gathering gains nothing and it stays
-    plain.
+    Row i of ``(texts, codes)`` reads ``texts[codes[i]]`` for a coded
+    column, and ``texts[i]`` (``codes`` None) for an array column.
     """
     if isinstance(column, tuple):
         values, codes = column
         return _texts(values, sep), codes
     if isinstance(column, np.ndarray):
-        keys = column.view(f"u{column.itemsize}") if column.dtype.kind == "f" else column
-        distinct, codes = np.unique(keys, return_inverse=True)
-        if distinct.size == column.size:
-            return _texts(column, sep), None
-        return _texts(distinct.view(column.dtype), sep), codes
+        return _texts(column, sep), None
     return fmt(column) + sep
 
 

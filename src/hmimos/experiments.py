@@ -130,26 +130,28 @@ SE_COLUMNS = ("scheme", "pa", "snr_db", "spectral_efficiency")
 def channel_rows(scenario: Scenario) -> BlockTable:
     """Rows (rx_pol, tx_pol, user, rx_patch, tx_patch, re, im) of every channel entry.
 
-    One block per (rx pol, tx pol, user) sub-matrix, cut from the assembled
-    channel as the table is iterated.  ``rx_patch`` and ``tx_patch`` are
-    coded over the patch labels of each user's row-major N_r x N_s matrix.
+    One block per (rx pol, tx pol, user) sub-matrix.  Every array column is
+    coded: ``rx_patch`` and ``tx_patch`` over the patch labels of each
+    user's row-major N_r x N_s matrix, ``re`` and ``im`` over the user's
+    entries of the channel's offset table, through one codes array per user.
     """
     channel = assemble_channel(scenario)
     n_tx = scenario.transmit.count
     tx_labels = np.arange(1, n_tx + 1)
-    patch_codes = []
-    for k in range(channel.n_users):
+    user_codes = []
+    for k, (lo, hi) in enumerate(zip(channel.table_offsets, channel.table_offsets[1:])):
         n_rx = scenario.users[k].surface.count
         rx_codes, tx_codes = np.divmod(np.arange(n_rx * n_tx), n_tx)
-        patch_codes.append(((np.arange(1, n_rx + 1), rx_codes), (tx_labels, tx_codes)))
+        codes = channel.pair_code[channel.user_rows(k)].ravel() - lo
+        patches = ((np.arange(1, n_rx + 1), rx_codes), (tx_labels, tx_codes))
+        user_codes.append((*patches, slice(lo, hi), codes))
 
     def blocks():
-        for p in POLS:
-            for q in POLS:
-                block = channel.block(p, q)
-                for k in range(channel.n_users):
-                    sub = block[channel.user_rows(k)]
-                    yield (p, q, k + 1, *patch_codes[k], sub.real.ravel(), sub.imag.ravel())
+        for p, rx_pol in enumerate(POLS):
+            for q, tx_pol in enumerate(POLS):
+                for k, (rx, tx, entries, codes) in enumerate(user_codes):
+                    values = channel.table[p, q, entries]
+                    yield (rx_pol, tx_pol, k + 1, rx, tx, (values.real, codes), (values.imag, codes))
 
     return BlockTable(channel.matrix.size, blocks)
 

@@ -218,6 +218,19 @@ def test_underflowing_channel_exits_three(tmp_path, capsys, command, message):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("line, user", [("tx.dx = 1e300", 1), ("user2.cx = 1e308", 2)],
+                         ids=["huge-pitch", "far-user"])
+@pytest.mark.parametrize("command", ["channel", "dof", "capacity", "precode-sweep"])
+def test_overflowing_channel_exits_three(tmp_path, capsys, command, line, user):
+    text = _edited(_edited(UNDERFLOW_SCENARIO, "tx.dx = 0.4"), line)
+    scenario = write(tmp_path, "huge.cfg", text)
+    assert main([command, "--scenario", str(scenario), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"numerical failure: user {user}: channel is not finite" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_unknown_preset_exits_two(tmp_path, capsys):
     assert main(["preset", "--preset", "fig99", "--out", str(tmp_path)]) == 2
     assert "unknown preset" in capsys.readouterr().err
@@ -519,6 +532,11 @@ def test_unreadable_scenario_and_unwritable_output_exit_two(tmp_path, capsys):
     assert main(["channel", "--scenario", str(scenario), "--out", str(taken)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("hmimos: file error: ") and f"File exists: '{taken}'" in err
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(("# caf\xe9\n" + K3_SCENARIO).encode("latin-1"))
+    assert main(["channel", "--scenario", str(latin1), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hmimos: file error: ") and f"'{latin1}' is not UTF-8 text" in err
     assert not list(tmp_path.rglob("*.csv"))
 
 

@@ -64,7 +64,7 @@ def tables(draw):
     return rows
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(rows=tables(), chunk=st.integers(1, 8))
 def test_bytes_match_the_row_by_row_writer(tmp_path_factory, rows, chunk):
     tmp_path = tmp_path_factory.mktemp("csv")
@@ -136,7 +136,7 @@ def block_tables(draw):
     return BlockTable(n_rows, lambda: iter(blocks))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(table=block_tables(), chunk=st.integers(1, 8))
 def test_block_table_bytes_match_the_row_by_row_writer(tmp_path_factory, table, chunk):
     tmp_path = tmp_path_factory.mktemp("csv")

@@ -119,12 +119,14 @@ def equal_pitch(scenario):
 def test_exports_match_the_row_by_row_writer(tmp_path, mixed_scenario, pitch):
     scenario = mixed_scenario if pitch == "unequal" else equal_pitch(mixed_scenario)
     table = channel_rows(scenario)
-    # Both routes of an array column are taken: a block whose re column never
-    # repeats is written plain (the single-patch user; every grid user at
-    # unequal pitch), one that repeats is written coded (the grid users at
-    # equal pitch, one value per grid offset; the circle's mirrored offsets).
-    repeats = [np.unique(block[5]).size < block[5].size for block in table.blocks()]
-    assert any(repeats) and not all(repeats)
+    # re and im are coded over the user's entries of the offset table through
+    # one shared codes array.  At equal pitch a grid user's table has one
+    # entry per grid offset, fewer than its rows; at unequal pitch no table
+    # is shorter than its block.
+    blocks = list(table.blocks())
+    assert all(block[5][1] is block[6][1] for block in blocks)
+    shorter = [block[5][0].size < block[5][1].size for block in blocks]
+    assert any(shorter) == (pitch == "equal")
     for name, columns, got, want in [
         ("channel", ("rx_pol", "tx_pol", "user", "rx_patch", "tx_patch", "re", "im"),
          table, oracle_channel_rows(scenario)),
