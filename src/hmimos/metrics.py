@@ -9,6 +9,8 @@ families are meaningful.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .channel import PolarizedChannel
@@ -52,12 +54,19 @@ def capacity(h, snr) -> float | np.ndarray:
     sum_i log2(1 + snr lambda_i), so one spectrum gives every SNR point.
     For an identity channel of size n this is n * log2(1 + snr).  Returns a
     float for a scalar ``snr`` and an array of ``snr``'s shape otherwise.
+    A channel whose spectrum or trace is not finite in double precision
+    raises ``np.linalg.LinAlgError``.
     """
     snrs = np.asarray(snr, dtype=float)
     if np.any(snrs <= 0):
         raise ValueError("snr must be positive")
-    lam = eigen_spectrum(h)
-    total = lam.sum()
+    with np.errstate(over="ignore"):  # checked below
+        lam = eigen_spectrum(h)
+        total = lam.sum()
+    if not np.isfinite(total):
+        raise np.linalg.LinAlgError(
+            f"channel spectrum is not finite in double precision (trace {total:.3g})"
+        )
     if total > 0.0:  # a zero channel keeps lam = 0 and a capacity of 0
         lam *= np.shape(h)[0] / total
     caps = np.log1p(np.multiply.outer(snrs, lam)).sum(axis=-1) / np.log(2.0)
@@ -83,30 +92,58 @@ def capacity_families(channel: PolarizedChannel, snr) -> dict[str, float | np.nd
     }
 
 
+# Rows of H H^H per block of the DoF Gram norm: extra memory is O(rows x columns).
+_GRAM_BLOCK_ROWS = 128
+
+
+def _gram_fro2(mat: np.ndarray) -> float:
+    """||M M^H||_f^2 of a complex matrix, from row blocks of the Gram matrix.
+
+    M M^H and M^H M have equal Frobenius norms, so the wide orientation is
+    used.  For each block I of b = 128 rows starting at row i0,
+    ``conj(M[I]) @ M[i0:].T`` is the conjugate of rows I of R = M M^H from
+    its diagonal on; the product is against a transposed view, so M is
+    never copied.  R is Hermitian, so each tile counts twice except its
+    diagonal b x b block, which holds both triangles already.  The flops
+    are those of half the Gram, and the extra memory two blocks of b rows.
+    """
+    if mat.shape[0] > mat.shape[1]:
+        mat = mat.T
+    total = 0.0
+    for i0 in range(0, mat.shape[0], _GRAM_BLOCK_ROWS):
+        rows = mat[i0 : i0 + _GRAM_BLOCK_ROWS]
+        tile = np.conj(rows) @ mat[i0:].T
+        diag = tile[:, : rows.shape[0]]
+        total += 2.0 * np.vdot(tile, tile).real - np.vdot(diag, diag).real
+        del tile, diag  # free this tile before the next one is allocated
+    return float(total)
+
+
 def channel_dof(h) -> float:
     """Diversity gain of a channel: (tr R / ||R||_f)^2 with R the Gram matrix.
 
     Equals the participation ratio of the channel eigenvalues,
-    (sum s^2)^2 / sum s^4, evaluated without forming an eigendecomposition.
-    ||R||_f^2 comes from real products, at half the flops of the complex
-    Gram: Re R = X X^T, with X the interleaved [Re, Im] columns of H, and
-    Im R = C - C^T with C = Im(H) Re(H)^T.  A channel whose Gram matrix is
-    0 in double precision (all zero, or every entry below about 1e-80)
-    raises ``np.linalg.LinAlgError``.
+    (sum s^2)^2 / sum s^4, evaluated without forming an eigendecomposition
+    or the whole of R: ||R||_f^2 is summed over 128-row blocks of R from
+    its diagonal on, so the extra memory is a few blocks of rows, not R.
+    A channel whose Gram matrix is 0 in double precision (all zero, or
+    every entry below about 1e-80) raises ``np.linalg.LinAlgError``, and
+    so does one whose trace, Gram norm or ratio is not finite (an entry
+    that is NaN or inf, or a Frobenius norm above about 1e77).
     """
     mat = np.asarray(h, dtype=np.complex128)
-    fro2 = float(np.linalg.norm(mat) ** 2)
-    # H and H^T have Grams of equal Frobenius norm: work on the wide one.
-    mat = np.ascontiguousarray(mat.T if mat.shape[0] > mat.shape[1] else mat)
-    x = mat.view(np.float64)
-    re_gram = x @ x.T  # a product with its own transpose: numpy calls BLAS syrk
-    gram2 = float(np.vdot(re_gram, re_gram))
-    del re_gram
-    im_gram = np.ascontiguousarray(mat.imag) @ np.ascontiguousarray(mat.real).T
-    im_gram -= im_gram.T  # numpy buffers the overlapping transpose
-    gram2 += float(np.vdot(im_gram, im_gram))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fro = float(np.linalg.norm(mat))
+        gram2 = _gram_fro2(mat)
+    fro2 = fro * fro  # float products overflow to inf, where ** raises
     if gram2 == 0.0:
         raise np.linalg.LinAlgError(
             "zero channel has no diversity gain: its Gram matrix is 0 in double precision"
         )
-    return fro2**2 / gram2
+    dof = fro2 * fro2 / gram2
+    if not (math.isfinite(fro2) and math.isfinite(gram2) and math.isfinite(dof)):
+        raise np.linalg.LinAlgError(
+            f"diversity gain is not finite in double precision "
+            f"(||H||_f^2 = {fro2:.3g}, ||H H^H||_f^2 = {gram2:.3g})"
+        )
+    return dof

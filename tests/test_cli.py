@@ -231,6 +231,24 @@ def test_overflowing_channel_exits_three(tmp_path, capsys, command, line, user):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "pitch, command, message",
+    [("1e40", "dof", "numerical failure: user 1: diversity gain is not finite"),
+     ("1e100", "dof", "numerical failure: user 1: diversity gain is not finite"),
+     ("1e100", "capacity", "numerical failure: channel spectrum is not finite")],
+    ids=["dof-1e40", "dof-1e100", "capacity-1e100"],
+)
+def test_overflowing_channel_metrics_exit_three(tmp_path, capsys, pitch, command, message):
+    # The channel is finite, but its squared norm, Gram norm or spectrum overflows.
+    text = _edited(_edited(UNDERFLOW_SCENARIO, f"tx.dx = {pitch}"), f"tx.dy = {pitch}")
+    scenario = write(tmp_path, "huge.cfg", text)
+    assert main([command, "--scenario", str(scenario), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_unknown_preset_exits_two(tmp_path, capsys):
     assert main(["preset", "--preset", "fig99", "--out", str(tmp_path)]) == 2
     assert "unknown preset" in capsys.readouterr().err

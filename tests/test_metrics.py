@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from hmimos.experiments import (
 )
 from hmimos.geometry import Scenario, SurfaceSpec, UserPlacement
 from hmimos.metrics import (
+    _GRAM_BLOCK_ROWS,
     capacity,
     capacity_families,
     channel_dof,
@@ -212,17 +214,75 @@ def test_channel_dof_matches_svd_participation_ratio(name):
     assert np.array_equal(h, before)  # the input is read, never written
 
 
+def _boundary_inputs(rows):
+    """Inputs whose wide orientation has ``rows`` rows, in each memory layout."""
+    rng = np.random.default_rng(127 + rows)
+
+    def cplx(m, n):
+        return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    return {
+        "wide": cplx(rows, rows + 7),
+        "square": cplx(rows, rows),
+        "tall": cplx(rows + 9, rows),
+        "strided": cplx(rows, 2 * rows + 10)[:, ::2],
+        "fortran": np.asfortranarray(cplx(rows, rows + 5)),
+    }
+
+
+B = _GRAM_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 2 * B + 3])
+def test_channel_dof_across_gram_block_boundaries(rows):
+    for name, h in _boundary_inputs(rows).items():
+        before = h.copy()
+        got = channel_dof(h)
+        assert got == pytest.approx(channel_dof_full_gram(h), rel=1e-12, abs=0), name
+        assert got == pytest.approx(_svd_participation(h), rel=1e-12, abs=0), name
+        assert np.array_equal(h, before), name
+
+
 def test_channel_dof_zero_channel_raises():
     with pytest.raises(ValueError, match="zero channel"):
         channel_dof(np.zeros((3, 5), dtype=complex))
 
 
-def test_channel_dof_matches_full_gram_on_fig10_pair():
+@pytest.mark.parametrize("h", [np.full((3, 5), np.nan), np.full((5, 3), np.inf),
+                               1e200 * np.ones((3, 5))], ids=["nan", "inf", "1e200"])
+def test_channel_dof_raises_when_not_finite(h):
+    with pytest.raises(np.linalg.LinAlgError, match="diversity gain is not finite"):
+        channel_dof(h)
+
+
+@pytest.fixture(scope="module")
+def fig10_pair():
+    """fig10's N = 400 mirrored pair, a 1200 x 1200 channel."""
     spec = fixed_area_square(400, 10.0)
     rx = replace(spec, center=(0.0, 0.0, 5.0), role="receive")
     scenario = Scenario(wavelength=1.0, transmit=spec, users=(UserPlacement(rx, 5.0),))
-    h = assemble_channel(scenario).stacked()
+    return assemble_channel(scenario).stacked()
+
+
+def test_channel_dof_matches_full_gram_on_fig10_pair(fig10_pair):
+    h = fig10_pair
     assert channel_dof(h) == pytest.approx(channel_dof_full_gram(h), rel=1e-12, abs=0)
+
+
+def test_channel_dof_extra_memory_is_a_fraction_of_the_channel(fig10_pair):
+    channel_dof(fig10_pair)  # warm-up: first-call allocations are not the kernel's
+    tracemalloc.start()
+    try:
+        channel_dof(fig10_pair)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < fig10_pair.nbytes / 2
+
+
+def test_capacity_raises_on_an_overflowing_spectrum():
+    with pytest.raises(np.linalg.LinAlgError, match="spectrum is not finite"):
+        capacity(1e200 * np.ones((3, 5)), 10.0)
 
 
 def test_channel_dof_does_not_import_scipy():
