@@ -3,9 +3,9 @@
 Subcommands expose each pipeline stage on a scenario file, plus the figure
 presets.  Exit codes: 0 success, 2 configuration/parse errors, 3 degenerate
 precoding scenarios, other numerical failures and running out of memory.
-Output CSVs are deterministic.  HMIMOS_THREADS sets the worker threads of
-the fig10 and fig11 DoF presets only, without changing results; every other
-pipeline runs on one thread.
+Output CSVs are deterministic: reruns at one BLAS thread count
+(``OPENBLAS_NUM_THREADS``) write the same bytes.  Every pipeline runs on one
+Python thread; BLAS threads are its only parallelism.
 """
 
 from __future__ import annotations

@@ -168,5 +168,5 @@ def scenario_from_keyvalues(kv: dict[str, str]) -> Scenario:
 def load_scenario(path, text: str | None = None) -> Scenario:
     """Parse a scenario file, or its already-read ``text``, into a validated :class:`Scenario`."""
     if text is None:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     return scenario_from_keyvalues(parse_keyvalues(text))

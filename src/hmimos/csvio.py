@@ -24,14 +24,12 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
 
-THREADS_ENV = "HMIMOS_THREADS"
 CHUNK_ROWS = 4096
 _FLOAT_SPEC = ".17g"
 
@@ -181,25 +179,3 @@ def write_csv(path, config: str, columns, rows) -> Path:
         raise
     return path
 
-
-def thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def parallel_map(fn, items):
-    """Map preserving input order; worker count capped by HMIMOS_THREADS.
-
-    Each item must be computed independently of the others, so the output is
-    identical whatever the level of parallelism.
-    """
-    items = list(items)
-    workers = min(thread_count(), max(1, len(items)))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import POLS, assemble_channel
 from .correlation import transmit_correlation
-from .csvio import BlockTable, parallel_map, write_csv
+from .csvio import BlockTable, write_csv
 from .errors import ConfigError, PrecoderDegeneracyError
 from .geometry import Scenario, SurfaceSpec, UserPlacement
 from .metrics import capacity_families, channel_dof, eigen_spectrum, total_spectral_efficiency
@@ -346,20 +346,22 @@ PRESETS = {
         "fig10_dof_vs_antennas.csv",
         "preset=fig10 wavelength=1 area=100 shape=square z=5|7|9 dof=channel-gram rx=mirrored",
         ("z", "n_tx", "dof"),
-        lambda: parallel_map(_mirrored_dof, [
-            (z, fixed_area_square(n, 10.0), z) for z in (5.0, 7.0, 9.0) for n in DOF_GRID
-        ]),
+        lambda: [
+            _mirrored_dof((z, fixed_area_square(n, 10.0), z))
+            for z in (5.0, 7.0, 9.0)
+            for n in DOF_GRID
+        ],
     )],
     "fig11": [(
         "fig11_dof_vs_shape.csv",
         "preset=fig11 wavelength=1 area=64 z=5 shapes=square|circle|rect16x4|rect32x2 "
         "dof=channel-gram rx=mirrored",
         ("shape", "n_tx", "dof"),
-        lambda: parallel_map(_mirrored_dof, [
-            (shape, spec, 5.0)
+        lambda: [
+            _mirrored_dof((shape, spec, 5.0))
             for n in SHAPE_GRID
             for shape, spec in sorted(shape_surfaces(n).items())
-        ]),
+        ],
     )],
     "fig12": [_se_file("fig12", fig12_scenario())],
     "fig13": [_se_file("fig13", _se_scenario((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), 3, 2))],

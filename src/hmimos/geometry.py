@@ -129,7 +129,7 @@ def patch_indices(spec: SurfaceSpec) -> tuple[np.ndarray, np.ndarray]:
         iy, ix = np.divmod(np.arange(spec.count), spec.nx)
         return ix, iy
 
-    # circle: scan a bounding grid large enough to host n_total points
+    # circle: scan a bounding grid, whose (2*half + 1)**2 points always outnumber n_total
     n = spec.n_total
     half = int(math.ceil(math.sqrt(n))) + 2
     idx = np.arange(-half, half + 1)
@@ -137,8 +137,6 @@ def patch_indices(spec: SurfaceSpec) -> tuple[np.ndarray, np.ndarray]:
     x = gx.ravel()
     y = gy.ravel()
     d2 = x * x + y * y
-    if d2.size < n:
-        raise GeometryError(f"circle layout cannot host {n} patches at this spacing")
     keep = np.lexsort((y, x, d2))[:n]
     return idx[keep % idx.size], idx[keep // idx.size]
 

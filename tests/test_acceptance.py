@@ -14,7 +14,6 @@ from _oracles import dyadic_green
 from _support import random_nf_scenario
 from hmimos.channel import assemble_channel
 from hmimos.correlation import im_green0_xx, transmit_correlation
-from hmimos.csvio import THREADS_ENV
 from hmimos.experiments import (
     PRESETS,
     fig12_scenario,
@@ -242,17 +241,13 @@ def test_criterion_09_dof_behavior():
               f"shapes {dict((k, round(v, 1)) for k, v in vals.items())}")
 
 
-def test_criterion_10_preset_determinism(tmp_path, monkeypatch):
+def test_criterion_10_preset_determinism(tmp_path):
     details = []
     for name in sorted(PRESETS):
         outputs = {}
-        for run, threads in (("a", "1"), ("b", "1"), ("c", "4")):
-            monkeypatch.setenv(THREADS_ENV, threads)
-            out = tmp_path / f"{name}_{run}"
-            paths = figure_preset(name, out)
+        for run in ("a", "b"):
+            paths = figure_preset(name, tmp_path / f"{name}_{run}")
             outputs[run] = {p.name: p.read_bytes() for p in paths}
         assert outputs["a"] == outputs["b"], f"{name}: rerun differs"
-        assert outputs["a"] == outputs["c"], f"{name}: thread count changes output"
         details.append(name)
-    report(10, f"byte-identical CSVs across reruns and HMIMOS_THREADS in {{1,4}} "
-               f"for {len(details)} presets")
+    report(10, f"byte-identical CSVs across two reruns for {len(details)} presets")

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +403,26 @@ def test_load_scenario_roundtrip(tmp_path):
     assert scenario.users[2].surface.center == (0.2, -0.7, 1.6)
 
 
+def test_load_scenario_decodes_utf8_whatever_the_locale(tmp_path):
+    # The CLI reads scenario files as UTF-8; the library must decode the same
+    # bytes, so a read that falls back to the locale's encoding is an error.
+    path = tmp_path / "k3.cfg"
+    path.write_bytes(("# pitch 0.4 λ\n" + K3_SCENARIO).encode("utf-8"))
+    code = (
+        "import sys\n"
+        "from hmimos.config import load_scenario\n"
+        "print(load_scenario(sys.argv[1]).n_users)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", code, str(path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "3"
+
+
 def test_preset_grid_contracts(tmp_path):
     assert main(["preset", "--preset", "fig4", "--out", str(tmp_path)]) == 0
     header, rows = read_rows(tmp_path / "fig4_correlation_vs_spacing.csv")
@@ -421,10 +444,11 @@ def test_preset_grid_contracts(tmp_path):
     assert len(rows) == 3 * 9  # three distances, nine element counts
     assert {r[0] for r in rows} == {"5", "7", "9"}
 
-    assert main(["preset", "--preset", "fig13", "--out", str(tmp_path)]) == 0
-    header, rows = read_rows(tmp_path / "fig13_spectral_efficiency.csv")
-    assert header == ["scheme", "pa", "snr_db", "spectral_efficiency"]
-    assert len(rows) == 2 * 3 * 16  # schemes x allocations x snr grid
+    for name in ("fig12", "fig13"):
+        assert main(["preset", "--preset", name, "--out", str(tmp_path)]) == 0
+        header, rows = read_rows(tmp_path / f"{name}_spectral_efficiency.csv")
+        assert header == ["scheme", "pa", "snr_db", "spectral_efficiency"]
+        assert len(rows) == 2 * 3 * 16  # schemes x allocations x snr grid
 
 
 @pytest.mark.parametrize("command", ["dof", "precode-sweep"])

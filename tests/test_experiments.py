@@ -1,5 +1,5 @@
 """Row builders of the CSV exports and the two schemes' rates against the
-loops they replaced, and the SNR-grid pipelines' thread use."""
+loops they replaced."""
 
 import math
 from dataclasses import replace
@@ -9,7 +9,6 @@ import pytest
 
 from _oracles import cluster_sum_rate, oracle_write, two_layer_sum_rate
 from _support import random_nf_scenario
-from hmimos import csvio
 from hmimos.channel import POLS, assemble_channel
 from hmimos.correlation import transmit_correlation
 from hmimos.csvio import write_csv
@@ -17,20 +16,15 @@ from hmimos.experiments import (
     CO_POLS,
     CORRELATION_COLUMNS,
     PA_NAMES,
-    SCHEMES,
-    SNR_GRID,
     GAIN_HEADROOM,
     _correlation_cut,
-    _fig9_scenario,
     _se_scenario,
-    capacity_rows,
     channel_rows,
     cluster_spectral_efficiency,
     correlation_rows,
     fig12_scenario,
     prepare_sweep,
     scheme_spectral_efficiency,
-    se_sweep,
 )
 from hmimos.geometry import Scenario, SurfaceSpec, UserPlacement
 from hmimos.power import pa1_select, pa2_equal, pa3_two_layer
@@ -141,17 +135,6 @@ def test_exports_match_the_row_by_row_writer(tmp_path, mixed_scenario, pitch):
 def test_correlation_cut_matches_the_nested_loops():
     cuts = [(0.05, 0.05, 0.3), ("z=1", 0.4, 1.0)]
     assert_same_rows(_correlation_cut(cuts, CO_POLS), oracle_correlation_cut(cuts, CO_POLS))
-
-
-def test_snr_grid_pipelines_start_no_thread_pool(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
-
-    monkeypatch.setenv(csvio.THREADS_ENV, "4")
-    monkeypatch.setattr(csvio, "ThreadPoolExecutor", refuse)
-    rows = se_sweep(fig12_scenario(), SCHEMES, PA_NAMES, SNR_GRID)
-    assert len(rows) == len(SCHEMES) * len(PA_NAMES) * len(SNR_GRID)
-    assert len(capacity_rows(_fig9_scenario(0.5), SNR_GRID)) == 3 * len(SNR_GRID)
 
 
 def allocate(pa_name, singulars, budget, sigma2):
