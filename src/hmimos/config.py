@@ -29,7 +29,9 @@ sweeps derive the noise power from their SNR axis and ``total_power``.
 Unknown keys, surface keys that no surface reads (``tx.nx`` under a circle
 layout, ``rx.nx`` when every user sets its own), unknown layouts and
 non-finite numbers (``nan``, ``inf``) are refused with a
-:class:`ConfigError` naming the key.
+:class:`ConfigError` naming the key.  A surface of more than
+``geometry.MAX_PATCHES`` (10^8) patches is refused with a
+:class:`GeometryError` naming ``nx * ny`` or ``n_total``.
 """
 
 from __future__ import annotations

@@ -70,10 +70,6 @@ class CorrelationMatrix:
     def normalized(self) -> np.ndarray:
         return self.raw / self.diag_value
 
-    @property
-    def size(self) -> int:
-        return self.codes.shape[0]
-
 
 def transmit_correlation(spec: SurfaceSpec, distance: float, k0: float, pol: str = "xx") -> CorrelationMatrix:
     """Transmit-side spatial correlation matrix for one co-polarization.

@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -46,15 +46,14 @@ def fmt(value) -> str:
 
 @dataclass(frozen=True)
 class BlockTable:
-    """A sized, re-iterable table of rows, built one block at a time.
+    """A sized table of rows, built one block at a time.
 
     ``blocks()`` yields each block as a tuple of columns.  A column is a
     scalar shared by every row of the block, a 1-D numpy array with one
     value per row, or a coded column ``(values, codes)`` of two 1-D arrays
     whose row i holds ``values[codes[i]]``.  Each block has at least one
     array or coded column, and its arrays and codes have equal lengths.
-    ``n_rows`` is the sum of those lengths.  Iterating yields the rows as
-    tuples of Python values.
+    ``n_rows`` is the sum of those lengths.
     """
 
     n_rows: int
@@ -62,16 +61,6 @@ class BlockTable:
 
     def __len__(self) -> int:
         return self.n_rows
-
-    def __iter__(self):
-        for columns in self.blocks():
-            n = _block_length(columns)
-            yield from zip(*(
-                c.tolist() if isinstance(c, np.ndarray)
-                else c[0][c[1]].tolist() if isinstance(c, tuple)
-                else repeat(c, n)
-                for c in columns
-            ))
 
 
 def _block_length(columns) -> int:

@@ -1,4 +1,4 @@
-"""Patch-antenna surface geometry and near-field feasibility checks.
+"""Patch-antenna surface geometry.
 
 Surfaces are planar grids of rectangular patches.  Receive surfaces sit
 parallel to the transmit surface at an offset along +z, laterally centered
@@ -8,13 +8,17 @@ unless the scenario says otherwise.  All lengths are in meters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GeometryError
 
 LAYOUTS = ("square", "rectangle", "circle")
+# Patches per surface: up to 10^8 the largest array of a surface pair, the
+# 3 N_r x 3 N_s complex channel (1.4e18 bytes), stays below numpy's 2^63-byte
+# limit, so a run too large fails with MemoryError rather than a ValueError.
+MAX_PATCHES = 10**8
 
 
 def _require_finite(**fields) -> None:
@@ -51,6 +55,9 @@ class SurfaceSpec:
                 raise GeometryError("grid layout needs nx, ny >= 1")
             if self.layout == "square" and self.nx != self.ny:
                 raise GeometryError("square layout requires nx == ny")
+        if self.count > MAX_PATCHES:
+            name = "n_total" if self.layout == "circle" else "nx * ny"
+            raise GeometryError(f"{name} must be at most {MAX_PATCHES}, got {self.count}")
 
     @property
     def count(self) -> int:
@@ -149,69 +156,13 @@ def patch_centers(spec: SurfaceSpec) -> np.ndarray:
     points closest to the center of a spacing-preserving grid, ties broken by
     (x, y) so the result is deterministic.
     """
-    cx, cy, cz = spec.center
-    if spec.layout in ("square", "rectangle"):
-        xs = (np.arange(spec.nx) - (spec.nx - 1) / 2.0) * spec.dx + cx
-        ys = (np.arange(spec.ny) - (spec.ny - 1) / 2.0) * spec.dy + cy
-        gx, gy = np.meshgrid(xs, ys, indexing="xy")
-        pts = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, cz)])
-        return pts
-
     ix, iy = patch_indices(spec)
-    return np.column_stack([ix * spec.dx + cx, iy * spec.dy + cy, np.full(ix.size, cz)])
-
-
-@dataclass(frozen=True)
-class UserFieldReport:
-    distance: float
-    nf_bound: float
-    in_near_field: bool
-    patch_limit: float
-    patch_ok: bool
-
-
-@dataclass(frozen=True)
-class NearFieldReport:
-    nf_bound: float
-    patch_limit: float
-    patch_ok: bool
-    users: tuple[UserFieldReport, ...] = field(default_factory=tuple)
-
-    @property
-    def in_near_field(self) -> tuple[bool, ...]:
-        return tuple(u.in_near_field for u in self.users)
-
-
-def validate_near_field(scenario: Scenario, margin: float = 10.0) -> NearFieldReport:
-    """Report-only check of the near-field region and patch-size limits.
-
-    The near-field radius for a square-grid pair is
-    ``[4 Ns dxs^2 + 4 Nr dxr^2 + 8 sqrt(Ns Nr) dxs dxr] / lambda``; a user is
-    flagged near-field when its distance is within that radius.  The patch
-    size must stay well below ``2 sqrt(lambda z)``; "well below" is read as a
-    factor of ``margin`` (default 10, configurable).
-    """
-    lam = scenario.wavelength
-    dxs = scenario.transmit.dx
-    ns = scenario.transmit.count
-    reports = []
-    for user in scenario.users:
-        nr = user.surface.count
-        dxr = user.surface.dx
-        bound = (4 * ns * dxs**2 + 4 * nr * dxr**2 + 8 * math.sqrt(ns * nr) * dxs * dxr) / lam
-        limit = 2.0 * math.sqrt(lam * user.distance) / margin
-        reports.append(
-            UserFieldReport(
-                distance=user.distance,
-                nf_bound=bound,
-                in_near_field=user.distance <= bound,
-                patch_limit=limit,
-                patch_ok=dxs <= limit,
-            )
-        )
-    return NearFieldReport(
-        nf_bound=max(r.nf_bound for r in reports),
-        patch_limit=min(r.patch_limit for r in reports),
-        patch_ok=all(r.patch_ok for r in reports),
-        users=tuple(reports),
+    # Grid indices count from a corner, circle indices from the center.
+    if spec.layout == "circle":
+        ox, oy = 0.0, 0.0
+    else:
+        ox, oy = (spec.nx - 1) / 2.0, (spec.ny - 1) / 2.0
+    cx, cy, cz = spec.center
+    return np.column_stack(
+        [(ix - ox) * spec.dx + cx, (iy - oy) * spec.dy + cy, np.full(ix.size, cz)]
     )

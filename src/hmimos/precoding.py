@@ -231,13 +231,3 @@ def two_layer_precoder(channel: PolarizedChannel, tol: float = DEFAULT_TOL) -> P
         col_slices=tuple(col_slices),
         singulars=tuple(singulars),
     )
-
-
-def cross_polar_residual(channel: PolarizedChannel, p_mats) -> float:
-    """Relative cancellation residual ||H_XP P|| / (||H_XP|| ||P||)."""
-    h_xp = cross_polar_system(channel)
-    p = np.vstack(p_mats)
-    denom = np.linalg.norm(h_xp) * np.linalg.norm(p)
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(h_xp @ p) / denom)

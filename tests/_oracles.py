@@ -1,20 +1,24 @@
-"""Reference formulas and the reference CSV writer that the tests compare the library against.
+"""Reference formulas, the reference CSV writer and the checks that only tests run.
 
 None of these is on a pipeline path: they evaluate the textbook closed forms
 one point at a time, or format a CSV one value at a time, independent of the
-vectorized kernels and the block writer in ``hmimos``.
+vectorized kernels and the block writer in ``hmimos``.  The near-field
+report, the cross-polar residual and ``block_rows`` measure what the library
+computes; no subcommand or preset needs them.
 """
 
 import math
+from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from hmimos.channel import POLS, pair_blocks
 from hmimos.correlation import im_green0_xx, transmit_correlation
-from hmimos.csvio import fmt
+from hmimos.csvio import _block_length, fmt
 from hmimos.errors import SingularityError
-from hmimos.geometry import patch_centers
-from hmimos.precoding import cluster_users, two_layer_precoder
+from hmimos.geometry import Scenario, patch_centers
+from hmimos.precoding import cluster_users, cross_polar_system, two_layer_precoder
 
 
 def oracle_write(path, config, columns, rows):
@@ -24,6 +28,18 @@ def oracle_write(path, config, columns, rows):
         lines.append(",".join(fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def block_rows(table):
+    """The rows of a ``BlockTable`` as tuples of Python values, block by block."""
+    for columns in table.blocks():
+        n = _block_length(columns)
+        yield from zip(*(
+            c.tolist() if isinstance(c, np.ndarray)
+            else c[0][c[1]].tolist() if isinstance(c, tuple)
+            else repeat(c, n)
+            for c in columns
+        ))
 
 
 def scalar_green(r, rp, k0: float) -> complex:
@@ -193,3 +209,69 @@ def cluster_sum_rate(channel, distances, watts, sigma2: float) -> float:
             signal = watts[qi][offset + j] * s[j] ** 2
             total += math.log2(1.0 + signal / (leak[j] + sigma2))
     return total
+
+
+def cross_polar_residual(channel, p_mats) -> float:
+    """Relative cancellation residual ||H_XP P|| / (||H_XP|| ||P||)."""
+    h_xp = cross_polar_system(channel)
+    p = np.vstack(p_mats)
+    denom = np.linalg.norm(h_xp) * np.linalg.norm(p)
+    if denom == 0.0:
+        return 0.0
+    return float(np.linalg.norm(h_xp @ p) / denom)
+
+
+@dataclass(frozen=True)
+class UserFieldReport:
+    distance: float
+    nf_bound: float
+    in_near_field: bool
+    patch_limit: float
+    patch_ok: bool
+
+
+@dataclass(frozen=True)
+class NearFieldReport:
+    nf_bound: float
+    patch_limit: float
+    patch_ok: bool
+    users: tuple[UserFieldReport, ...] = field(default_factory=tuple)
+
+    @property
+    def in_near_field(self) -> tuple[bool, ...]:
+        return tuple(u.in_near_field for u in self.users)
+
+
+def validate_near_field(scenario: Scenario, margin: float = 10.0) -> NearFieldReport:
+    """Report-only check of the near-field region and patch-size limits.
+
+    The near-field radius for a square-grid pair is
+    ``[4 Ns dxs^2 + 4 Nr dxr^2 + 8 sqrt(Ns Nr) dxs dxr] / lambda``; a user is
+    flagged near-field when its distance is within that radius.  The patch
+    size must stay well below ``2 sqrt(lambda z)``; "well below" is read as a
+    factor of ``margin`` (default 10, configurable).
+    """
+    lam = scenario.wavelength
+    dxs = scenario.transmit.dx
+    ns = scenario.transmit.count
+    reports = []
+    for user in scenario.users:
+        nr = user.surface.count
+        dxr = user.surface.dx
+        bound = (4 * ns * dxs**2 + 4 * nr * dxr**2 + 8 * math.sqrt(ns * nr) * dxs * dxr) / lam
+        limit = 2.0 * math.sqrt(lam * user.distance) / margin
+        reports.append(
+            UserFieldReport(
+                distance=user.distance,
+                nf_bound=bound,
+                in_near_field=user.distance <= bound,
+                patch_limit=limit,
+                patch_ok=dxs <= limit,
+            )
+        )
+    return NearFieldReport(
+        nf_bound=max(r.nf_bound for r in reports),
+        patch_limit=min(r.patch_limit for r in reports),
+        patch_ok=all(r.patch_ok for r in reports),
+        users=tuple(reports),
+    )

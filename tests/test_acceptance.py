@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import dyadic_green
+from _oracles import cross_polar_residual, dyadic_green
 from _support import random_nf_scenario
 from hmimos.channel import assemble_channel
 from hmimos.correlation import im_green0_xx, transmit_correlation
@@ -26,7 +26,7 @@ from hmimos.experiments import (
 from hmimos.geometry import Scenario, SurfaceSpec, UserPlacement
 from hmimos.metrics import capacity_families, channel_dof
 from hmimos.power import water_fill
-from hmimos.precoding import cross_polar_residual, two_layer_precoder
+from hmimos.precoding import two_layer_precoder
 
 K0 = 2.0 * math.pi
 

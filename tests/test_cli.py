@@ -466,6 +466,30 @@ def test_non_finite_number_exits_two(tmp_path, capsys, command, line):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["dof", "correlation"])
+@pytest.mark.parametrize(
+    "lines, field",
+    [("tx.nx = 10000000000000000000", "nx * ny"),
+     ("tx.layout = circle\ntx.total = 100000000000000000000", "n_total")],
+    ids=["grid", "circle"],
+)
+def test_oversized_surface_exits_two(tmp_path, capsys, command, lines, field):
+    # numpy cannot index this many patches: refused as a configuration error
+    # rather than a ValueError traceback from the index arrays.
+    text = _edited(UNDERFLOW_SCENARIO, "tx.dx = 0.4")
+    if "circle" in lines:
+        rows = text.splitlines(True)
+        text = "".join(row for row in rows if not row.startswith(("tx.nx", "tx.ny")))
+    for line in lines.split("\n"):
+        text = _edited(text, line)
+    scenario = write(tmp_path, "huge.cfg", text)
+    assert main([command, "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {field} must be at most 100000000" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_linalg_error_exits_three(tmp_path, capsys, monkeypatch):
     def diverge(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

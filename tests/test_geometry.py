@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import validate_near_field
 from hmimos.errors import GeometryError
 from hmimos.geometry import (
+    MAX_PATCHES,
     Scenario,
     SurfaceSpec,
     UserPlacement,
     patch_centers,
     patch_indices,
-    validate_near_field,
 )
 
 
@@ -144,6 +145,14 @@ def test_spec_validation_errors():
         Scenario(wavelength=0.0, transmit=tx, users=(UserPlacement(SurfaceSpec.grid(1, 1, 0.4), 1.0),))
     with pytest.raises(GeometryError):
         Scenario(wavelength=1.0, transmit=tx, users=())
+
+
+def test_patch_count_is_capped_before_any_allocation():
+    with pytest.raises(GeometryError, match=r"^nx \* ny must be at most 100000000, got "):
+        SurfaceSpec.grid(10**19, 1, 0.4)
+    with pytest.raises(GeometryError, match=r"^n_total must be at most 100000000, got "):
+        SurfaceSpec.circle(MAX_PATCHES + 1, 0.4)
+    assert SurfaceSpec.grid(10**4, 10**4, 0.4).count == MAX_PATCHES
 
 
 def _one_user():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import cluster_transceivers
+from _oracles import cluster_transceivers, cross_polar_residual
 from _support import random_nf_scenario, two_user_scenario
 from hmimos.channel import POLS, assemble_channel
 from hmimos.errors import CapacityExceededError, ConfigError, PrecoderDegeneracyError
@@ -11,7 +11,6 @@ from hmimos.precoding import (
     bd_precoder,
     cluster_link,
     cluster_users,
-    cross_polar_residual,
     cross_polar_system,
     gaussian_elim_precoder,
     two_layer_precoder,
