@@ -6,8 +6,10 @@ they behave consistently on non-square and rank-deficient blocks.  Singular vect
 phases; every consumer is invariant to them, and repeated runs on the same
 input and BLAS thread count produce identical matrices.  Only
 :func:`svd_partition` forms a full V (it must, to return a null-space
-basis); the precoder calls it only on matrices no wider than the joint row
-space of the receivers and uses the thin :func:`range_basis` elsewhere.
+basis).  The precoder calls it to orient each group's block-diagonalization
+basis, on matrices no wider than the joint row space of the receivers, and
+for the others' null spaces only when the stacked groups are rank-deficient;
+everything else takes the thin :func:`thin_svd`.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"expected a nonempty 2-D matrix, got shape {m.shape!r}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(np.imag(m)))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    return np.ascontiguousarray(m, dtype=np.complex128)
+    # No contiguous copy: numpy's SVD copies its input into its own Fortran
+    # buffer anyway.
+    return m.astype(np.complex128, copy=False)
 
 
 def _rank(s: np.ndarray, tol: float) -> int:
@@ -50,15 +54,25 @@ def svd_partition(a, tol: float = DEFAULT_TOL):
     return u, s, vh[:rank], vh[rank:]
 
 
-def range_basis(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal columns spanning the range (column space) of ``a``.
+def thin_svd(a, tol: float = DEFAULT_TOL):
+    """Thin SVD of ``a`` and its rank at the cutoff ``tol * s_max``.
 
-    Taken from a thin SVD and cut at ``tol * s_max``, so the result is
-    ``a.shape[0] x rank`` and no factor wider than ``min(a.shape)`` is
-    formed.  The row space of ``a`` is ``range_basis(a.conj().T)``.
+    Returns ``(u, s, vh, rank)`` with ``a = u @ diag(s) @ vh``; no factor
+    wider than ``min(a.shape)`` is formed.
     """
     a = as_matrix(a)
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, : _rank(s, tol)]
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    return u, s, vh, _rank(s, tol)
+
+
+def range_basis(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal columns spanning the range (column space) of ``a``.
+
+    The leading ``rank`` left singular vectors of :func:`thin_svd`, so the
+    result is ``a.shape[0] x rank``.  The row space of ``a`` is
+    ``range_basis(a.conj().T)``.
+    """
+    u, _, _, rank = thin_svd(a, tol)
+    return u[:, :rank]

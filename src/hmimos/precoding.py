@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import POLS, PolarizedChannel, block_view
 from .errors import CapacityExceededError, ConfigError, PrecoderDegeneracyError
-from .numerics import DEFAULT_TOL, range_basis, svd_partition
+from .numerics import DEFAULT_TOL, range_basis, svd_partition, thin_svd
 
 
 def cluster_users(distances) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -131,7 +131,9 @@ def gaussian_elim_precoder(channel: PolarizedChannel, tol: float = DEFAULT_TOL):
                 )
 
     n_s, n_r = channel.n_tx, channel.n_rx
-    row_space = range_basis(cross_polar_system(channel).conj().T, tol)  # 3 N_s x rank
+    h_xp = cross_polar_system(channel)
+    row_space = range_basis(np.conjugate(h_xp, out=h_xp).T, tol)  # 3 N_s x rank
+    del h_xp  # the passes below set the precoder's peak memory
     if row_space.shape[1] >= 3 * n_s:
         raise PrecoderDegeneracyError("H_XP", "cross-polarization system has no null space")
     basis = np.zeros((3 * n_s, 3 * n_r), dtype=np.complex128)
@@ -140,7 +142,8 @@ def gaussian_elim_precoder(channel: PolarizedChannel, tol: float = DEFAULT_TOL):
     # The second pass takes the row-space residual from eps / s_min (left by
     # orthonormalizing a nearly cancelled matrix) back down to eps.
     for _ in range(2):
-        basis = range_basis(basis - row_space @ (row_space.conj().T @ basis), tol)
+        basis -= row_space @ (row_space.conj().T @ basis)
+        basis = range_basis(basis, tol)
     return basis[:n_s], basis[n_s : 2 * n_s], basis[2 * n_s :]
 
 
@@ -148,32 +151,61 @@ def bd_precoder(user_blocks, tol: float = DEFAULT_TOL):
     """Block-diagonalization precoder over groups of channel rows.
 
     ``user_blocks`` is the per-group list of m_i x N_s effective channels.
-    One thin SVD of the stacked groups gives an orthonormal basis Q of their
-    joint row space (rank rho); every group's BD span lies inside it, since
-    it is the group's own row space projected onto the null space of the
-    others.  In that basis group i's precoder spans the null space of the
-    other groups' rho-column coordinates, oriented by the SVD of the group's
-    own projected block, then mapped back through Q.  No factor wider than
-    rho is formed.  Returns the per-group precoders F_i (N_s x d_i) and
-    stream gains: the d_i singular values of that orientation SVD, which
-    are those of the group's precoded channel H_i F_i.
+    One thin SVD of the stacked groups, stacked^H = Q S V^H, gives an
+    orthonormal basis Q of their joint row space (rank rho); every group's
+    BD span lies inside it, since it is the group's own row space projected
+    onto the null space of the others.  In that basis group i's precoder
+    spans the null space of the other groups' rho-column coordinates,
+    oriented by the SVD of the group's own projected block, then mapped back
+    through Q.  No factor wider than rho is formed.  Returns the per-group
+    precoders F_i (N_s x d_i) and stream gains: the d_i singular values of
+    that orientation SVD, which are those of the group's precoded channel
+    H_i F_i.
 
-    A group whose rows lie in the span of the other groups (including the
-    case where those fill the whole input space) has no interference-free
-    direction and raises :class:`CapacityExceededError` naming the block.
+    When the stacked groups have full row rank (rho = M rows), the
+    coordinates V S are square and invertible, and group i's columns of
+    their inverse S^-1 V^H span the others' null space: the one SVD serves
+    every group.  Its cut already implies each group's (by interlacing, the
+    others' singular-value ratio is no smaller than the stack's), so no
+    further rank decision is made.  Otherwise each group takes its own SVD
+    of the other groups' coordinates, and a group whose rows lie in the span
+    of the others (including the case where those fill the whole input
+    space) has no interference-free direction and raises
+    :class:`CapacityExceededError` naming the block.
     """
     k = len(user_blocks)
     n_s = user_blocks[0].shape[1]
     stacked = np.vstack(user_blocks)
-    q = range_basis(stacked.conj().T, tol)  # N_s x rho
-    rho = q.shape[1]
+    u, s, vh, rho = thin_svd(stacked.conj().T, tol)
+    q = u[:, :rho]  # N_s x rho
     coords = stacked @ q  # M x rho
     bounds = np.cumsum([0] + [b.shape[0] for b in user_blocks])
+    if k > 1 and rho == stacked.shape[0]:
+        # The coordinates and their inverse S^-1 V^H, scaled by 1 / s[0] and
+        # s[0] so that nothing overflows: every kept ratio s / s[0] is above
+        # tol.  The real and imaginary parts are divided as reals, since
+        # numpy's complex division by a subnormal s[0] overflows.
+        unit = (coords.view(np.float64) / s[0]).view(np.complex128)
+        inverse = vh / (s / s[0])[:, None]
+    else:
+        inverse = None
     precoders = []
     gains = []
     for i in range(k):
-        if k > 1:
-            others = np.delete(coords, np.s_[bounds[i] : bounds[i + 1]], axis=0)
+        rows = slice(bounds[i], bounds[i + 1])
+        if k == 1:
+            basis = np.eye(rho, dtype=np.complex128)
+        elif inverse is not None:
+            basis = np.linalg.qr(inverse[:, rows])[0]  # rho x m_i
+            # unit @ inverse is I to rounding, so this is one Newton step
+            # onto the others' null space: it takes the leakage left by
+            # dividing by small singular values back down to rounding.
+            residual = unit @ basis
+            residual[rows] = 0.0
+            basis -= inverse @ residual
+            basis = np.linalg.qr(basis)[0]
+        else:
+            others = np.delete(coords, rows, axis=0)
             _, _, _, v0 = svd_partition(others, tol)
             if v0.shape[0] < 1:
                 raise CapacityExceededError(
@@ -182,12 +214,10 @@ def bd_precoder(user_blocks, tol: float = DEFAULT_TOL):
                     f"(input space {n_s})"
                 )
             basis = v0.conj().T  # rho x d_i
-        else:
-            basis = np.eye(rho, dtype=np.complex128)
         # coords_i basis = U diag(s) (v1; v0), so (coords_i basis) v1^H = U_1 diag(s[:d_i]).
-        _, s, v1, _ = svd_partition(coords[bounds[i] : bounds[i + 1]] @ basis, tol)
+        _, s_i, v1, _ = svd_partition(coords[rows] @ basis, tol)
         precoders.append(q @ (basis @ v1.conj().T))
-        gains.append(s[: v1.shape[0]])
+        gains.append(s_i[: v1.shape[0]])
     return tuple(precoders), tuple(gains)
 
 

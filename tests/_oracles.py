@@ -2,9 +2,11 @@
 
 None of these is on a pipeline path: they evaluate the textbook closed forms
 one point at a time, or format a CSV one value at a time, independent of the
-vectorized kernels and the block writer in ``hmimos``.  The near-field
-report, the cross-polar residual and ``block_rows`` measure what the library
-computes; no subcommand or preset needs them.
+vectorized kernels and the block writer in ``hmimos``; ``per_group_bd`` is
+block diagonalization as first written, one full SVD per group.  The
+near-field report, the cross-polar residual, ``bd_leakage`` and
+``block_rows`` measure what the library computes; no subcommand or preset
+needs them.
 """
 
 import math
@@ -209,6 +211,40 @@ def cluster_sum_rate(channel, distances, watts, sigma2: float) -> float:
             signal = watts[qi][offset + j] * s[j] ** 2
             total += math.log2(1.0 + signal / (leak[j] + sigma2))
     return total
+
+
+def per_group_bd(user_blocks, tol: float = 1e-10):
+    """Reference block diagonalization: one full SVD per group.
+
+    Group i's precoder spans the null space of the other groups' stacked
+    rows in the whole input space, oriented by the SVD of the group's block
+    on it; both cuts are at ``tol`` of the matrix's own largest singular
+    value.  Returns the per-group precoders and stream gains, like
+    ``precoding.bd_precoder``.
+    """
+
+    def split(a):
+        _, s, vh = np.linalg.svd(a, full_matrices=True)
+        rank = int(np.count_nonzero(s > tol * s[0])) if s[0] > 0 else 0
+        return s[:rank], vh[:rank], vh[rank:]
+
+    precoders, gains = [], []
+    for i, block in enumerate(user_blocks):
+        null = split(np.vstack(user_blocks[:i] + user_blocks[i + 1 :]))[2].conj().T
+        s, v1, _ = split(block @ null)
+        precoders.append(null @ v1.conj().T)
+        gains.append(s)
+    return precoders, gains
+
+
+def bd_leakage(user_blocks, precoders) -> float:
+    """Largest ||H_i F_j|| / (||H_i|| ||F_j||) over ordered pairs of groups i != j."""
+    return max(
+        float(np.linalg.norm(h @ f) / (np.linalg.norm(h) * np.linalg.norm(f)))
+        for i, h in enumerate(user_blocks)
+        for j, f in enumerate(precoders)
+        if i != j
+    )
 
 
 def cross_polar_residual(channel, p_mats) -> float:

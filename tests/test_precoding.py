@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from _oracles import cluster_transceivers, cross_polar_residual
+from _oracles import bd_leakage, cluster_transceivers, cross_polar_residual, per_group_bd
 from _support import random_nf_scenario, two_user_scenario
+from hmimos import precoding
 from hmimos.channel import POLS, assemble_channel
 from hmimos.errors import CapacityExceededError, ConfigError, PrecoderDegeneracyError
 from hmimos.geometry import Scenario, SurfaceSpec, UserPlacement
-from hmimos.numerics import svd_partition
+from hmimos.numerics import svd_partition, thin_svd
 from hmimos.precoding import (
     bd_precoder,
     cluster_link,
@@ -210,6 +211,103 @@ def test_bd_interference_filling_input_space_raises():
     blocks = [rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8)) for _ in range(3)]
     with pytest.raises(CapacityExceededError, match="block 1: interference of the other 2 blocks"):
         bd_precoder(blocks)
+
+
+def _sweep_scenario(seed, n, k, grid):
+    """The benchmark's ``sweep`` draw: an n x n transmitter at pitch 0.4 and
+    K users on one receive grid at pitch 0.3 or 0.4, z in [1, 6], lateral
+    offsets of magnitude 0.3-1.6."""
+    rng = np.random.default_rng(seed)
+    pitch = float(rng.choice((0.3, 0.4)))
+    users = []
+    for _ in range(k):
+        z = float(rng.uniform(1.0, 6.0))
+        cx, cy = (rng.uniform(0.3, 1.6, size=2) * rng.choice((-1.0, 1.0), size=2)).tolist()
+        rx = SurfaceSpec.grid(*grid, pitch, center=(cx, cy, z), role="receive")
+        users.append(UserPlacement(rx, z))
+    return Scenario(wavelength=1.0, transmit=SurfaceSpec.grid(n, n, 0.4), users=tuple(users))
+
+
+def _bd_groups(scenario):
+    """The 3 K (polarization, user) groups that the second layer diagonalizes."""
+    channel = assemble_channel(scenario)
+    p_mats = gaussian_elim_precoder(channel)
+    return [
+        (channel.block(pol, pol) @ p_q)[channel.user_rows(u)]
+        for pol, p_q in zip(POLS, p_mats)
+        for u in range(channel.n_users)
+    ]
+
+
+def _random_groups(seed, rows, n_s):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((m, n_s)) + 1j * rng.standard_normal((m, n_s)) for m in rows]
+
+
+FULL_RANK_GROUPS = {
+    "random-3x(2,3,1)-in-10": lambda: _random_groups(101, (2, 3, 1), 10),
+    "random-6x2-in-12-square": lambda: _random_groups(103, (2,) * 6, 12),
+    "random-9x(1-4)-in-40": lambda: _random_groups(107, (1, 4, 2, 3, 1, 2, 4, 3, 1), 40),
+    # near capacity: 108 receive rows against 100 transmit patches
+    "sweep-10x10-k3-4x3": lambda: _bd_groups(_sweep_scenario(1, 10, 3, (4, 3))),
+    "sweep-12x12-k6-2x2": lambda: _bd_groups(_sweep_scenario(2, 12, 6, (2, 2))),
+    "sweep-15x15-k6-3x2": lambda: _bd_groups(_sweep_scenario(3, 15, 6, (3, 2))),
+}
+
+
+@pytest.mark.parametrize("name", FULL_RANK_GROUPS)
+def test_bd_full_rank_stack_matches_per_group_reference(name):
+    groups = FULL_RANK_GROUPS[name]()
+    stacked = np.vstack(groups)
+    assert thin_svd(stacked.conj().T)[3] == stacked.shape[0]  # full row rank
+    precoders, gains = bd_precoder(groups)
+    ref_precoders, ref_gains = per_group_bd(groups)
+    assert [f.shape for f in precoders] == [f.shape for f in ref_precoders]
+    top = max(g[0] for g in ref_gains)
+    for got, want in zip(gains, ref_gains):
+        assert np.max(np.abs(got - want)) <= 1e-9 * top
+    # The reference leaks about 1e-16.  The Newton step keeps the one-SVD
+    # path there; without it the near-capacity group leaks about 8e-12.
+    assert bd_leakage(groups, precoders) < 1e-13
+    for f in precoders:
+        assert np.allclose(f.conj().T @ f, np.eye(f.shape[1]), atol=1e-10)
+
+
+def _count_partitions(monkeypatch):
+    calls = []
+    original = precoding.svd_partition
+
+    def counted(a, tol):
+        calls.append(a.shape)
+        return original(a, tol)
+
+    monkeypatch.setattr(precoding, "svd_partition", counted)
+    return calls
+
+
+def test_bd_full_rank_stack_takes_one_svd_per_group(monkeypatch):
+    # The stack's one thin SVD gives every null space; each group only
+    # orients its basis.
+    groups = _random_groups(109, (2, 3, 1, 2), 12)
+    calls = _count_partitions(monkeypatch)
+    bd_precoder(groups)
+    assert calls == [(m, m) for m in (2, 3, 1, 2)]
+
+
+def test_bd_rank_deficient_stack_takes_two_svds_per_group(monkeypatch):
+    # Groups 1 and 2 share a row, so the stack has rank M - 1 and every group
+    # takes its own SVD of the others, then orients.
+    groups = _random_groups(113, (2, 2, 3), 12)
+    groups[1][1] = groups[0][1]
+    calls = _count_partitions(monkeypatch)
+    precoders, gains = bd_precoder(groups)
+    assert len(calls) == 2 * len(groups)
+    ref_precoders, ref_gains = per_group_bd(groups)
+    assert [f.shape[1] for f in precoders] == [f.shape[1] for f in ref_precoders] == [1, 1, 3]
+    top = max(g[0] for g in ref_gains)
+    for got, want in zip(gains, ref_gains):
+        assert np.max(np.abs(got - want)) <= 1e-9 * top
+    assert bd_leakage(groups, precoders) < 1e-11
 
 
 @pytest.mark.parametrize(
