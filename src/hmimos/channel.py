@@ -67,14 +67,13 @@ def block_view(mat: np.ndarray) -> np.ndarray:
 def pair_blocks(diff, ds, area, k0: float) -> np.ndarray:
     """Integrated channel of every transmit/receive patch pair.
 
-    ``diff`` holds receive-minus-transmit center offsets, shape
-    (N_r, N_s, 3); ``ds`` is the transmit patch (dx, dy) and ``area`` the
-    product of the transmit and receive patch areas, a number or an array
-    broadcasting against ``diff[..., 0]``.  Aperture sinc factors use the
-    transmit patch dimensions; the receive patch contributes its area only.
-    Returns the polarization-major 3 N_r x 3 N_s matrix: the N_r x N_s
-    block (p, q) of :func:`block_view` is receive polarization p, transmit
-    polarization q.
+    ``diff`` holds receive-minus-transmit center offsets, shape (..., 3);
+    ``ds`` is the transmit patch (dx, dy) and ``area`` the product of the
+    transmit and receive patch areas, a number or an array broadcasting
+    against ``diff[..., 0]``.  Aperture sinc factors use the transmit patch
+    dimensions; the receive patch contributes its area only.  Returns the
+    (3, 3) + ``diff.shape[:-1]`` blocks: entry [p, q] is receive
+    polarization p, transmit polarization q.
     """
     diff = np.asarray(diff, dtype=float)
     dist = np.linalg.norm(diff, axis=-1)
@@ -89,15 +88,13 @@ def pair_blocks(diff, ds, area, k0: float) -> np.ndarray:
         * _sinc(k0 * diff[..., 0] * ds[0] / (2.0 * dist))
         * _sinc(k0 * diff[..., 1] * ds[1] / (2.0 * dist))
     )
-    n_r, n_s = dist.shape
-    out = np.empty((3 * n_r, 3 * n_s), dtype=np.complex128)
-    blocks = block_view(out)
+    out = np.empty((3, 3) + dist.shape, dtype=np.complex128)
     for p in range(3):
         for q in range(3):
             dyad = c2 * unit[..., p] * unit[..., q]
             if p == q:
                 dyad = dyad + c1
-            blocks[p, q] = scalar * dyad
+            out[p, q] = scalar * dyad
     return out
 
 
@@ -109,16 +106,11 @@ class PolarizedChannel:
     y, then z, against the x, y and z transmit columns.  Every other form is
     a view of it: ``blocks[p, q]`` is the N_r x N_s sub-channel received on
     polarization p and transmitted on polarization q, with rows stacking the
-    users in scenario order.  ``matrix`` is gathered from the offset table:
-    ``blocks[p, q] == table[p, q][pair_code]``, and user k's pairs read
-    entries ``table_offsets[k]`` to ``table_offsets[k + 1]`` of it.
+    users in scenario order.
     """
 
     matrix: np.ndarray  # (3 N_r, 3 N_s) complex
     user_offsets: tuple[int, ...]  # row offsets per user, len K + 1
-    table: np.ndarray  # (3, 3, T) complex, one 3x3 block per patch offset
-    pair_code: np.ndarray  # (N_r, N_s) entry of each pair's block in ``table``
-    table_offsets: tuple[int, ...]  # first table entry per user, len K + 1
 
     @property
     def n_users(self) -> int:
@@ -201,43 +193,44 @@ def _offset_table(rx: SurfaceSpec, tx: SurfaceSpec, tx_frame):
     return diff.reshape(-1, 3), code
 
 
-def assemble_channel(scenario: Scenario) -> PolarizedChannel:
-    """Build the polarized channel for every user of a scenario.
+def offset_tables(scenario: Scenario) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each user's kernel table (3, 3, T_k) and each pair's entry in it (N̄_r, N_s).
 
-    Each user's offset table comes from the
-    :func:`~hmimos.geometry.patch_indices` of both surfaces (a circle's from
-    its bounding grid).  One :func:`pair_blocks` evaluation covers all
-    users' tables, each entry with its user's receive patch area, and the
-    nine H_pq blocks are gathered from it through one N_r x N_s code array;
-    the channel keeps both.  At equal receive and transmit pitch a user's
-    table has span_r + span_t + 1 offsets per axis and pairs at equal grid
-    offset get bit-equal blocks; at unequal pitch it has about one entry per
-    pair.  A user whose table is not finite raises ``np.linalg.LinAlgError``.
+    A user's table comes from the :func:`~hmimos.geometry.patch_indices` of
+    both surfaces (a circle's from its bounding grid), and its pairs' blocks
+    are ``table[p, q][code]``.  One :func:`pair_blocks` evaluation covers
+    all users' tables, each entry with its user's receive patch area.  At
+    equal receive and transmit pitch a user's table has span_r + span_t + 1
+    offsets per axis and pairs at equal grid offset share one entry; at
+    unequal pitch it has about one entry per pair.  A user whose table is
+    not finite raises ``np.linalg.LinAlgError``.
     """
     tx_spec = scenario.transmit
     tx_frame = _index_frame(tx_spec)
-    diffs, codes = [], []
-    table_offsets = [0]
-    for user in scenario.users:
-        diff, code = _offset_table(user.surface, tx_spec, tx_frame)
-        code += table_offsets[-1]
-        table_offsets.append(table_offsets[-1] + len(diff))
-        diffs.append(diff)
-        codes.append(code)
+    diffs, codes = zip(*(_offset_table(u.surface, tx_spec, tx_frame) for u in scenario.users))
+    bounds = np.cumsum([0] + [len(diff) for diff in diffs]).tolist()
     areas = [tx_spec.dx * tx_spec.dy * u.surface.dx * u.surface.dy for u in scenario.users]
-    area = np.repeat(areas, np.diff(table_offsets))
+    area = np.repeat(areas, np.diff(bounds))
     with np.errstate(all="ignore"):  # an offset or pitch that overflows is refused below
-        table = block_view(pair_blocks(
-            np.vstack(diffs)[:, None], (tx_spec.dx, tx_spec.dy), area[:, None], scenario.k0
-        ))[..., 0]
-    for k, (lo, hi) in enumerate(zip(table_offsets, table_offsets[1:])):
-        if not np.isfinite(table[..., lo:hi]).all():
+        table = pair_blocks(np.vstack(diffs), (tx_spec.dx, tx_spec.dy), area, scenario.k0)
+    tables = [(table[..., lo:hi], code) for lo, hi, code in zip(bounds, bounds[1:], codes)]
+    for k, (user_table, _) in enumerate(tables):
+        if not np.isfinite(user_table).all():
             raise np.linalg.LinAlgError(f"user {k + 1}: channel is not finite at these offsets")
-    pair_code = np.vstack(codes)
-    matrix = np.empty((3 * pair_code.shape[0], 3 * pair_code.shape[1]), dtype=np.complex128)
-    blocks = block_view(matrix)
-    for p in range(3):
-        for q in range(3):
-            blocks[p, q] = table[p, q][pair_code]
+    return tables
+
+
+def assemble_channel(scenario: Scenario) -> PolarizedChannel:
+    """Build the polarized channel for every user of a scenario.
+
+    Each user's rows of the nine H_pq blocks are gathered from its
+    :func:`offset_tables` entry.
+    """
     offsets = np.cumsum([0] + [u.surface.count for u in scenario.users]).tolist()
-    return PolarizedChannel(matrix, tuple(offsets), table, pair_code, tuple(table_offsets))
+    matrix = np.empty((3 * offsets[-1], 3 * scenario.transmit.count), dtype=np.complex128)
+    blocks = block_view(matrix)
+    for (table, code), lo, hi in zip(offset_tables(scenario), offsets, offsets[1:]):
+        for p in range(3):
+            for q in range(3):
+                blocks[p, q, lo:hi] = table[p, q][code]
+    return PolarizedChannel(matrix, tuple(offsets))

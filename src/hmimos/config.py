@@ -29,7 +29,9 @@ sweeps derive the noise power from their SNR axis and ``total_power``.
 Unknown keys, surface keys that no surface reads (``tx.nx`` under a circle
 layout, ``rx.nx`` when every user sets its own), unknown layouts and
 non-finite numbers (``nan``, ``inf``) are refused with a
-:class:`ConfigError` naming the key.  A surface of more than
+:class:`ConfigError` naming the key, and so is a value of ``nx``, ``ny``,
+``dx``, ``dy``, ``total``, ``z``, ``wavelength`` or ``total_power`` that
+is not positive.  A surface of more than
 ``geometry.MAX_PATCHES`` (10^8) patches is refused with a
 :class:`GeometryError` naming ``nx * ny`` or ``n_total``.
 """
@@ -67,7 +69,7 @@ def parse_keyvalues(text: str) -> dict[str, str]:
     return out
 
 
-def _get_number(kv, key, default=None, kind=float):
+def _get_number(kv, key, default=None, kind=float, positive=False):
     if key not in kv:
         if default is None:
             raise ConfigError(f"missing required key {key}")
@@ -79,6 +81,9 @@ def _get_number(kv, key, default=None, kind=float):
         raise ConfigError(f"key {key}: expected {noun}, got {kv[key]!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"key {key}: expected a finite number, got {kv[key]!r}")
+    if positive and value <= 0:
+        noun = "integer" if kind is int else "number"
+        raise ConfigError(f"key {key}: expected a positive {noun}, got {kv[key]!r}")
     return value
 
 
@@ -97,7 +102,7 @@ def _surface(
 
     def pick(field, kind=float, default=None):
         key = key_for(field)
-        return default if key is None else _get_number(kv, key, kind=kind)
+        return default if key is None else _get_number(kv, key, kind=kind, positive=True)
 
     layout_key = key_for("layout")
     layout = kv[layout_key] if layout_key else "rectangle"
@@ -138,8 +143,8 @@ def _check_keys(kv) -> None:
 
 def scenario_from_keyvalues(kv: dict[str, str]) -> Scenario:
     _check_keys(kv)
-    wavelength = _get_number(kv, "scenario.wavelength", 1.0)
-    power = _get_number(kv, "scenario.total_power", 1.0)
+    wavelength = _get_number(kv, "scenario.wavelength", 1.0, positive=True)
+    power = _get_number(kv, "scenario.total_power", 1.0, positive=True)
     read: set[str] = set()
     tx = _surface(kv, read, "tx")
 
@@ -152,7 +157,7 @@ def scenario_from_keyvalues(kv: dict[str, str]) -> Scenario:
 
     users = []
     for uid in user_ids:
-        z = _get_number(kv, f"user{uid}.z")
+        z = _get_number(kv, f"user{uid}.z", positive=True)
         cx = _get_number(kv, f"user{uid}.cx", 0.0)
         cy = _get_number(kv, f"user{uid}.cy", 0.0)
         surf = _surface(kv, read, f"user{uid}", fallback="rx", center=(cx, cy, z), role="receive")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import POLS, assemble_channel
+from .channel import POLS, assemble_channel, offset_tables
 from .correlation import transmit_correlation
 from .csvio import BlockTable, write_csv
 from .errors import ConfigError, PrecoderDegeneracyError
@@ -132,28 +132,27 @@ def channel_rows(scenario: Scenario) -> BlockTable:
 
     One block per (rx pol, tx pol, user) sub-matrix.  Every array column is
     coded: ``rx_patch`` and ``tx_patch`` over the patch labels of each
-    user's row-major N_r x N_s matrix, ``re`` and ``im`` over the user's
-    entries of the channel's offset table, through one codes array per user.
+    user's row-major N̄_r x N_s matrix, ``re`` and ``im`` over the user's
+    :func:`~hmimos.channel.offset_tables` entry, through one codes array per
+    user.  The dense channel is never formed.
     """
-    channel = assemble_channel(scenario)
     n_tx = scenario.transmit.count
     tx_labels = np.arange(1, n_tx + 1)
     user_codes = []
-    for k, (lo, hi) in enumerate(zip(channel.table_offsets, channel.table_offsets[1:])):
-        n_rx = scenario.users[k].surface.count
-        rx_codes, tx_codes = np.divmod(np.arange(n_rx * n_tx), n_tx)
-        codes = channel.pair_code[channel.user_rows(k)].ravel() - lo
+    for table, code in offset_tables(scenario):
+        n_rx = code.shape[0]
+        rx_codes, tx_codes = np.divmod(np.arange(code.size), n_tx)
         patches = ((np.arange(1, n_rx + 1), rx_codes), (tx_labels, tx_codes))
-        user_codes.append((*patches, slice(lo, hi), codes))
+        user_codes.append((*patches, table, code.ravel()))
 
     def blocks():
         for p, rx_pol in enumerate(POLS):
             for q, tx_pol in enumerate(POLS):
-                for k, (rx, tx, entries, codes) in enumerate(user_codes):
-                    values = channel.table[p, q, entries]
+                for k, (rx, tx, table, codes) in enumerate(user_codes):
+                    values = table[p, q]
                     yield (rx_pol, tx_pol, k + 1, rx, tx, (values.real, codes), (values.imag, codes))
 
-    return BlockTable(channel.matrix.size, blocks)
+    return BlockTable(9 * sum(codes.size for *_, codes in user_codes), blocks)
 
 
 def correlation_rows(scenario: Scenario) -> BlockTable:
@@ -276,9 +275,8 @@ def _eigen_rows(z: float):
     ]
 
 
-def _mirrored_dof(item):
-    """Row (label, patch count, DoF) of a (label, surface, z) facing its mirror image."""
-    label, spec, z = item
+def _mirrored_dof(label, spec: SurfaceSpec, z: float):
+    """Row (label, patch count, DoF) of surface ``spec`` facing its mirror image ``z`` away."""
     channel = assemble_channel(_facing(spec, spec, [(0.0, 0.0, z)]))
     return (label, spec.count, channel_dof(channel.stacked()))
 
@@ -347,7 +345,7 @@ PRESETS = {
         "preset=fig10 wavelength=1 area=100 shape=square z=5|7|9 dof=channel-gram rx=mirrored",
         ("z", "n_tx", "dof"),
         lambda: [
-            _mirrored_dof((z, fixed_area_square(n, 10.0), z))
+            _mirrored_dof(z, fixed_area_square(n, 10.0), z)
             for z in (5.0, 7.0, 9.0)
             for n in DOF_GRID
         ],
@@ -358,7 +356,7 @@ PRESETS = {
         "dof=channel-gram rx=mirrored",
         ("shape", "n_tx", "dof"),
         lambda: [
-            _mirrored_dof((shape, spec, 5.0))
+            _mirrored_dof(shape, spec, 5.0)
             for n in SHAPE_GRID
             for shape, spec in sorted(shape_surfaces(n).items())
         ],

@@ -81,9 +81,10 @@ def dense_assemble_channel(scenario) -> np.ndarray:
     rx = np.vstack([patch_centers(spec) for spec in surfaces])
     counts = [spec.count for spec in surfaces]
     area = np.repeat([tx_spec.dx * tx_spec.dy * spec.dx * spec.dy for spec in surfaces], counts)
-    return pair_blocks(
+    blocks = pair_blocks(
         rx[:, None, :] - tx[None, :, :], (tx_spec.dx, tx_spec.dy), area[:, None], scenario.k0
     )
+    return blocks.transpose(0, 2, 1, 3).reshape(3 * len(rx), 3 * len(tx))
 
 
 def dense_transmit_correlation(spec, distance: float, k0: float, pol: str = "xx") -> np.ndarray:

@@ -16,9 +16,9 @@ K0 = 2.0 * math.pi  # wavelength 1 m
 
 
 def one_pair_block(tx_center, rx_center, ds, dr, k0):
-    """One patch pair's 3x3 block: the kernel's 3 N_r x 3 N_s output at N_r = N_s = 1."""
+    """One patch pair's 3x3 block: the kernel at a single (3,) offset."""
     diff = np.asarray(rx_center, dtype=float) - np.asarray(tx_center, dtype=float)
-    return pair_blocks(diff[None, None, :], ds, ds[0] * ds[1] * dr[0] * dr[1], k0)
+    return pair_blocks(diff, ds, ds[0] * ds[1] * dr[0] * dr[1], k0)
 
 
 def test_scalar_green_one_wavelength():

@@ -659,3 +659,21 @@ def test_user_layout_overrides_rx_default(tmp_path):
     scenario = load_scenario(write(tmp_path, "ok.cfg", text))
     assert scenario.users[0].surface.layout == "square"
     assert (scenario.users[1].surface.nx, scenario.users[1].surface.ny) == (3, 2)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    ["tx.nx = 0", "tx.dx = -0.4", "rx.dy = 0", "user2.z = -1.5", "scenario.wavelength = -1",
+     "scenario.total_power = 0", "user3.layout = circle\nuser3.total = 0"],
+    ids=["tx-nx", "tx-dx", "rx-dy", "user2-z", "wavelength", "total-power", "user3-total"],
+)
+def test_out_of_range_value_names_its_key(tmp_path, capsys, lines):
+    text = _edited(UNDERFLOW_SCENARIO, "tx.dx = 0.4")  # the console-script smoke scenario
+    for line in lines.split("\n"):
+        text = _edited(text, line)
+    key = lines.split("\n")[-1].split(" =")[0]
+    scenario = write(tmp_path, "bad.cfg", text)
+    assert main(["channel", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: key {key}: expected a positive" in err
+    assert not list(tmp_path.glob("*.csv"))

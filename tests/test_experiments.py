@@ -132,6 +132,19 @@ def test_exports_match_the_row_by_row_writer(tmp_path, mixed_scenario, pitch):
         assert written.read_bytes() == expected.read_bytes()
 
 
+@pytest.mark.parametrize("pitch", ["unequal", "equal"])
+def test_channel_rows_form_no_dense_channel(monkeypatch, mixed_scenario, pitch):
+    scenario = mixed_scenario if pitch == "unequal" else equal_pitch(mixed_scenario)
+    want = oracle_channel_rows(scenario)
+
+    def refuse(scenario):
+        raise AssertionError("channel_rows assembled the dense channel")
+
+    monkeypatch.setattr("hmimos.experiments.assemble_channel", refuse)
+    monkeypatch.setattr("hmimos.channel.assemble_channel", refuse)
+    assert_same_table(channel_rows(scenario), want)
+
+
 def test_correlation_cut_matches_the_nested_loops():
     cuts = [(0.05, 0.05, 0.3), ("z=1", 0.4, 1.0)]
     assert_same_rows(_correlation_cut(cuts, CO_POLS), oracle_correlation_cut(cuts, CO_POLS))
