@@ -202,8 +202,8 @@ def offset_tables(scenario: Scenario) -> list[tuple[np.ndarray, np.ndarray]]:
     all users' tables, each entry with its user's receive patch area.  At
     equal receive and transmit pitch a user's table has span_r + span_t + 1
     offsets per axis and pairs at equal grid offset share one entry; at
-    unequal pitch it has about one entry per pair.  A user whose table is
-    not finite raises ``np.linalg.LinAlgError``.
+    unequal pitch it has about one entry per pair.  A user with a zero-length
+    offset or a table that is not finite raises ``np.linalg.LinAlgError``.
     """
     tx_spec = scenario.transmit
     tx_frame = _index_frame(tx_spec)
@@ -211,8 +211,13 @@ def offset_tables(scenario: Scenario) -> list[tuple[np.ndarray, np.ndarray]]:
     bounds = np.cumsum([0] + [len(diff) for diff in diffs]).tolist()
     areas = [tx_spec.dx * tx_spec.dy * u.surface.dx * u.surface.dy for u in scenario.users]
     area = np.repeat(areas, np.diff(bounds))
-    with np.errstate(all="ignore"):  # an offset or pitch that overflows is refused below
-        table = pair_blocks(np.vstack(diffs), (tx_spec.dx, tx_spec.dy), area, scenario.k0)
+    diff = np.vstack(diffs)
+    try:
+        with np.errstate(all="ignore"):  # an offset or pitch that overflows is refused below
+            table = pair_blocks(diff, (tx_spec.dx, tx_spec.dy), area, scenario.k0)
+    except SingularityError:  # users sit above the transmitter, so only an underflow gives 0
+        user = np.searchsorted(bounds, np.argmin(np.linalg.norm(diff, axis=-1)), side="right")
+        raise np.linalg.LinAlgError(f"user {user}: a patch offset underflows to length 0") from None
     tables = [(table[..., lo:hi], code) for lo, hi, code in zip(bounds, bounds[1:], codes)]
     for k, (user_table, _) in enumerate(tables):
         if not np.isfinite(user_table).all():

@@ -4,7 +4,6 @@ Example::
 
     # 3 users on a 15x15 transmit surface
     scenario.wavelength = 1.0
-    scenario.total_power = 1.0
     tx.layout = square
     tx.nx = 15
     tx.ny = 15
@@ -24,16 +23,16 @@ Surface sections (``tx``, ``rx``, ``userN``) take ``layout`` (square,
 rectangle or circle; square needs nx == ny), ``nx``, ``ny``, ``dx``, ``dy``
 and ``total``; ``userN`` also takes ``z``, ``cx`` and ``cy``.  Users are
 numbered ``user1`` to ``userK`` without leading zeros.  Circle
-layouts take ``total`` instead of ``nx``/``ny``.  There is no noise key:
-sweeps derive the noise power from their SNR axis and ``total_power``.
+layouts take ``total`` instead of ``nx``/``ny``.  There is no noise or
+power key: sweeps spend a unit power budget and derive the noise power from
+their SNR axis as 1 / 10^(snr_db/10).
 Unknown keys, surface keys that no surface reads (``tx.nx`` under a circle
 layout, ``rx.nx`` when every user sets its own), unknown layouts and
 non-finite numbers (``nan``, ``inf``) are refused with a
 :class:`ConfigError` naming the key, and so is a value of ``nx``, ``ny``,
-``dx``, ``dy``, ``total``, ``z``, ``wavelength`` or ``total_power`` that
-is not positive.  A surface of more than
-``geometry.MAX_PATCHES`` (10^8) patches is refused with a
-:class:`GeometryError` naming ``nx * ny`` or ``n_total``.
+``dx``, ``dy``, ``total``, ``z`` or ``wavelength`` that is not positive.
+A surface of more than ``geometry.MAX_PATCHES`` (10^8) patches is refused
+with a :class:`GeometryError` naming ``nx * ny`` or ``n_total``.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .geometry import LAYOUTS, Scenario, SurfaceSpec, UserPlacement
 
 _KEY_RE = re.compile(r"^[a-z0-9_.]+$")
 _USER_RE = re.compile(r"^user([1-9]\d*)$")  # user sections: user1..userK, no leading zeros
-_SCENARIO_KEYS = ("scenario.wavelength", "scenario.total_power")
 _SURFACE_FIELDS = ("layout", "nx", "ny", "dx", "dy", "total")
 _USER_FIELDS = _SURFACE_FIELDS + ("z", "cx", "cy")
 
@@ -128,7 +126,7 @@ def _surface(
 
 def _check_keys(kv) -> None:
     for key in kv:
-        if key in _SCENARIO_KEYS:
+        if key == "scenario.wavelength":
             continue
         head, _, field = key.partition(".")
         if head in ("tx", "rx"):
@@ -144,7 +142,6 @@ def _check_keys(kv) -> None:
 def scenario_from_keyvalues(kv: dict[str, str]) -> Scenario:
     _check_keys(kv)
     wavelength = _get_number(kv, "scenario.wavelength", 1.0, positive=True)
-    power = _get_number(kv, "scenario.total_power", 1.0, positive=True)
     read: set[str] = set()
     tx = _surface(kv, read, "tx")
 
@@ -167,7 +164,7 @@ def scenario_from_keyvalues(kv: dict[str, str]) -> Scenario:
             raise ConfigError(f"key {key}: not read by the chosen layout")
 
     try:
-        return Scenario(wavelength=wavelength, transmit=tx, users=tuple(users), total_power=power)
+        return Scenario(wavelength=wavelength, transmit=tx, users=tuple(users))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

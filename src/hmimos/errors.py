@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit with 2,
-degenerate precoding scenarios with 3.
+degenerate precoding scenarios with 3.  A :class:`SingularityError` (a
+zero-length patch offset) reaches it as a user's ``LinAlgError``: also 3.
 """
 
 

@@ -3,9 +3,11 @@
 Spectral-efficiency sweeps interpret the SNR axis as the mean per-stream
 received SNR under uniform allocation, with a fixed 20 dB aperture-gain
 headroom: the effective channel is rescaled so the mean squared stream gain
-equals ``GAIN_HEADROOM`` times the stream count.  Only orderings and ratios
-between schemes are meaningful; absolute bit rates depend on this
-normalization and are documented as such.
+equals ``GAIN_HEADROOM`` times the stream count.  The power allocations
+spend a unit budget, so a point at ``snr_db`` has noise power
+1 / 10^(snr_db/10).  Only orderings and ratios between schemes are
+meaningful; absolute bit rates depend on this normalization and are
+documented as such.
 
 The user-cluster scheme keeps its physical cross-polarization interference:
 clustering confines each user's signal to one co-polarized sub-channel but
@@ -16,7 +18,7 @@ cross-polarized blocks and cap the attainable SINR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 
@@ -51,16 +53,8 @@ def cluster_spectral_efficiency(link: StreamLink, watts, sigma2: float) -> float
     )
 
 
-@dataclass(frozen=True)
-class SweepContext:
-    """Headroom-scaled stream links of one sweep, one per scheme."""
-
-    scenario: Scenario
-    links: dict[str, StreamLink]
-
-
-def prepare_sweep(scenario: Scenario, schemes=SCHEMES, tol: float = DEFAULT_TOL) -> SweepContext:
-    """Each scheme's stream link at the gain headroom of the two-layer gains.
+def prepare_sweep(scenario: Scenario, schemes=SCHEMES, tol: float = DEFAULT_TOL) -> dict:
+    """Each scheme's :class:`StreamLink` at the gain headroom of the two-layer gains.
 
     Both links come from the unscaled channel: a channel scaled by c scales
     the stream gains by c and the leakage powers by c^2.  Two-layer streams
@@ -77,24 +71,26 @@ def prepare_sweep(scenario: Scenario, schemes=SCHEMES, tol: float = DEFAULT_TOL)
     links = {"two-layer": StreamLink(gains, np.zeros((n_tot, n_tot)))}
     if "uc" in schemes:
         links["uc"] = cluster_link(channel, [u.distance for u in scenario.users])
-    return SweepContext(scenario, {
+    return {
         name: StreamLink(tuple(s * scale for s in link.singulars), link.leakage * scale**2)
         for name, link in links.items()
-    })
+    }
 
 
-def scheme_spectral_efficiency(ctx: SweepContext, scheme: str, pa_name: str, snr_db: float) -> float:
-    """SE of one sweep point; ``scheme`` and ``pa_name`` are names :func:`se_sweep` accepts."""
-    budget = ctx.scenario.total_power
-    sigma2 = budget / 10 ** (snr_db / 10.0)
-    link = ctx.links[scheme]
+def scheme_spectral_efficiency(links: dict, scheme: str, pa_name: str, snr_db: float) -> float:
+    """SE at ``snr_db`` of one scheme of :func:`prepare_sweep`'s ``links`` and one PA.
+
+    The names are those :func:`se_sweep` accepts; the PA spends a unit budget.
+    """
+    sigma2 = 1.0 / 10 ** (snr_db / 10.0)
+    link = links[scheme]
     squared = [s**2 for s in link.singulars]
     if pa_name == "pa1":
-        watts = pa1_select(squared, budget, sigma2)
+        watts = pa1_select(squared, sigma2)
     elif pa_name == "pa2":
-        watts = pa2_equal([s.size for s in squared], budget)
+        watts = pa2_equal([s.size for s in squared])
     else:
-        watts = pa3_two_layer(squared, budget, sigma2)
+        watts = pa3_two_layer(squared, sigma2)
     return cluster_spectral_efficiency(link, watts, sigma2)
 
 
@@ -113,9 +109,9 @@ def se_sweep(scenario: Scenario, schemes, pas, snrs_db, tol: float = DEFAULT_TOL
             raise ConfigError(f"{flag} names a {what} more than once: {','.join(names)}")
     if "uc" in schemes:  # refuse a user count that cannot be clustered before precoding
         cluster_users([u.distance for u in scenario.users])
-    ctx = prepare_sweep(scenario, schemes, tol)
+    links = prepare_sweep(scenario, schemes, tol)
     grid = [(scheme, pa, snr) for scheme in schemes for pa in pas for snr in snrs_db]
-    return [(*g, scheme_spectral_efficiency(ctx, *g)) for g in grid]
+    return [(*g, scheme_spectral_efficiency(links, *g)) for g in grid]
 
 
 # ---------------------------------------------------------------------------

@@ -90,21 +90,18 @@ class UserPlacement:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full link description: transmit surface, users and power budget."""
+    """Full link description: wavelength, transmit surface and users."""
 
     wavelength: float
     transmit: SurfaceSpec
     users: tuple[UserPlacement, ...]
-    total_power: float = 1.0
 
     def __post_init__(self):
-        _require_finite(wavelength=self.wavelength, total_power=self.total_power)
+        _require_finite(wavelength=self.wavelength)
         if self.wavelength <= 0:
             raise GeometryError("wavelength must be positive")
         if not self.users:
             raise GeometryError("scenario needs at least one user")
-        if self.total_power <= 0:
-            raise GeometryError("total power must be positive")
         object.__setattr__(self, "users", tuple(self.users))
         # The channel reads each user's height from its surface, the clustering
         # and the correlation read ``distance``: the two must agree.

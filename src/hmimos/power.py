@@ -1,6 +1,6 @@
 """Power allocation across polarizations and streams.
 
-Three schemes:
+Three schemes, each spending a unit budget:
 
 * PA1 selects the polarization with the largest effective Frobenius norm and
   water-fills its streams.
@@ -10,7 +10,9 @@ Three schemes:
   then over the singular values pooled within each polarization.
 
 Each scheme returns the watts of every stream: a tuple of three arrays, one
-per polarization, indexed like that polarization's stream gains.
+per polarization, indexed like that polarization's stream gains.  A budget
+of P_T watts at noise power sigma2 allocates P_T times the unit-budget watts
+at sigma2 / P_T, so the spectral efficiency depends on P_T / sigma2 alone.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ def _water_fill_or_zero(gains: np.ndarray, budget: float, sigma2: float) -> np.n
     return water_fill(gains, budget, sigma2)[0]
 
 
-def pa1_select(spectra, budget: float = 1.0, sigma2: float = 1.0) -> tuple[np.ndarray, ...]:
-    """Polarization selection: the whole budget on the strongest polarization.
+def pa1_select(spectra, sigma2: float) -> tuple[np.ndarray, ...]:
+    """Polarization selection: the whole unit budget on the strongest polarization.
 
     ``spectra`` holds the squared singular values of the three effective
     co-polarized channels.  The polarization with the largest squared
@@ -74,35 +76,35 @@ def pa1_select(spectra, budget: float = 1.0, sigma2: float = 1.0) -> tuple[np.nd
         raise ValueError("all effective channels are zero")
     sel = int(np.argmax(norms))
     return tuple(
-        _water_fill_or_zero(spec, budget, sigma2) if i == sel else np.zeros(spec.size)
+        _water_fill_or_zero(spec, 1.0, sigma2) if i == sel else np.zeros(spec.size)
         for i, spec in enumerate(spectra)
     )
 
 
-def pa2_equal(stream_counts, budget: float = 1.0) -> tuple[np.ndarray, ...]:
+def pa2_equal(stream_counts) -> tuple[np.ndarray, ...]:
     """Equal split: an equal share per polarization with streams, uniform over them.
 
     ``stream_counts`` holds the stream count of each of the three effective
-    channels.  The budget is split over the polarizations that have streams,
-    so it is spent in full; a polarization without streams gets an empty
-    array.
+    channels.  The unit budget is split over the polarizations that have
+    streams, so it is spent in full; a polarization without streams gets an
+    empty array.
     """
     active = sum(1 for c in stream_counts if c > 0)
-    return tuple(np.full(c, budget / (active * c)) if c > 0 else np.zeros(0) for c in stream_counts)
+    return tuple(np.full(c, 1.0 / (active * c)) if c > 0 else np.zeros(0) for c in stream_counts)
 
 
-def pa3_two_layer(spectra, budget: float = 1.0, sigma2: float = 1.0) -> tuple[np.ndarray, ...]:
+def pa3_two_layer(spectra, sigma2: float) -> tuple[np.ndarray, ...]:
     """Two-layer allocation: water filling over polarizations, then streams.
 
     ``spectra`` holds the squared singular values of the three effective
     co-polarized channels.  The first layer water-fills their squared
-    Frobenius norms.  The second layer water-fills each polarization's
-    pooled singular values under that polarization's budget (one water
-    level per polarization).
+    Frobenius norms under the unit budget.  The second layer water-fills
+    each polarization's pooled singular values under that polarization's
+    share (one water level per polarization).
     """
     spectra = [np.asarray(s, dtype=float) for s in spectra]
     norms = np.array([float(np.sum(s)) for s in spectra])
     if not np.any(norms > 0):
         raise ValueError("all effective channels are zero")
-    q, _ = water_fill(norms, budget, sigma2)
+    q, _ = water_fill(norms, 1.0, sigma2)
     return tuple(_water_fill_or_zero(spec, q[i], sigma2) for i, spec in enumerate(spectra))

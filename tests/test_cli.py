@@ -221,6 +221,32 @@ def test_underflowing_channel_exits_three(tmp_path, capsys, command, message):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "command, user, lateral, message",
+    [(command, 1, 0, "a patch offset underflows to length 0")
+     for command in ("channel", "dof", "capacity", "precode-sweep")]
+    + [("correlation", 1, 0, "xx correlation is not finite"),
+       ("dof", 3, 0.4, "a patch offset underflows to length 0")],
+    ids=["channel", "dof", "capacity", "precode-sweep", "correlation", "dof-user3-corner"],
+)
+def test_user_above_a_transmit_patch_at_underflowing_height_exits_three(
+    tmp_path, capsys, command, user, lateral, message
+):
+    # The user's 1x1 surface sits right over a patch of the 3x3 transmitter
+    # (the centre one, or the corner one, whose zero offset is then the first
+    # entry of the user's table), at a height whose square underflows.
+    text = _edited(UNDERFLOW_SCENARIO, "tx.dx = 0.4")
+    for line in (f"user{user}.z = 1e-170", f"user{user}.cx = {lateral}",
+                 f"user{user}.cy = {lateral}"):
+        text = _edited(text, line)
+    scenario = write(tmp_path, "aligned.cfg", text)
+    assert main([command, "--scenario", str(scenario), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"numerical failure: user {user}: {message}" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("line, user", [("tx.dx = 1e300", 1), ("user2.cx = 1e308", 2)],
                          ids=["huge-pitch", "far-user"])
 @pytest.mark.parametrize("command", ["channel", "dof", "capacity", "precode-sweep"])
@@ -662,18 +688,23 @@ def test_user_layout_overrides_rx_default(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "lines",
-    ["tx.nx = 0", "tx.dx = -0.4", "rx.dy = 0", "user2.z = -1.5", "scenario.wavelength = -1",
-     "scenario.total_power = 0", "user3.layout = circle\nuser3.total = 0"],
+    "lines, message",
+    [("tx.nx = 0", "key tx.nx: expected a positive"),
+     ("tx.dx = -0.4", "key tx.dx: expected a positive"),
+     ("rx.dy = 0", "key rx.dy: expected a positive"),
+     ("user2.z = -1.5", "key user2.z: expected a positive"),
+     ("scenario.wavelength = -1", "key scenario.wavelength: expected a positive"),
+     # no power key: sweeps spend a unit budget, so any value is an unknown key
+     ("scenario.total_power = 1", "unknown configuration key 'scenario.total_power'"),
+     ("user3.layout = circle\nuser3.total = 0", "key user3.total: expected a positive")],
     ids=["tx-nx", "tx-dx", "rx-dy", "user2-z", "wavelength", "total-power", "user3-total"],
 )
-def test_out_of_range_value_names_its_key(tmp_path, capsys, lines):
+def test_out_of_range_value_names_its_key(tmp_path, capsys, lines, message):
     text = _edited(UNDERFLOW_SCENARIO, "tx.dx = 0.4")  # the console-script smoke scenario
     for line in lines.split("\n"):
         text = _edited(text, line)
-    key = lines.split("\n")[-1].split(" =")[0]
     scenario = write(tmp_path, "bad.cfg", text)
     assert main(["channel", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert f"configuration error: key {key}: expected a positive" in err
+    assert f"configuration error: {message}" in err
     assert not list(tmp_path.glob("*.csv"))

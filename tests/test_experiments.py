@@ -150,13 +150,13 @@ def test_correlation_cut_matches_the_nested_loops():
     assert_same_rows(_correlation_cut(cuts, CO_POLS), oracle_correlation_cut(cuts, CO_POLS))
 
 
-def allocate(pa_name, singulars, budget, sigma2):
+def allocate(pa_name, singulars, sigma2):
     squared = [s**2 for s in singulars]
     if pa_name == "pa1":
-        return pa1_select(squared, budget, sigma2)
+        return pa1_select(squared, sigma2)
     if pa_name == "pa2":
-        return pa2_equal([s.size for s in singulars], budget)
-    return pa3_two_layer(squared, budget, sigma2)
+        return pa2_equal([s.size for s in singulars])
+    return pa3_two_layer(squared, sigma2)
 
 
 def sweep_channel(scenario):
@@ -180,13 +180,12 @@ SWEEP_SCENARIOS = {
 
 def assert_sweep_meets_oracle(scenario, scheme, oracle):
     """Every PA at -10, 0, 10 and 20 dB against ``oracle(watts, sigma2)``."""
-    ctx = prepare_sweep(scenario)
-    budget = scenario.total_power
+    links = prepare_sweep(scenario)
     for pa_name in PA_NAMES:
         for snr_db in (-10.0, 0.0, 10.0, 20.0):
-            sigma2 = budget / 10 ** (snr_db / 10.0)
-            watts = allocate(pa_name, ctx.links[scheme].singulars, budget, sigma2)
-            got = scheme_spectral_efficiency(ctx, scheme, pa_name, snr_db)
+            sigma2 = 1.0 / 10 ** (snr_db / 10.0)  # a unit budget
+            watts = allocate(pa_name, links[scheme].singulars, sigma2)
+            got = scheme_spectral_efficiency(links, scheme, pa_name, snr_db)
             assert got == pytest.approx(oracle(watts, sigma2), rel=1e-12, abs=0.0)
 
 
@@ -216,7 +215,7 @@ def test_cluster_rate_with_unequal_user_grids(mixed_scenario):
     assert sorted(s.size for s in link.singulars) == [1, 5, 6]
     for pa_name in PA_NAMES:
         for sigma2 in (1e-6, 1e-8):  # around and below the leakage power, about 1e-7
-            watts = allocate(pa_name, link.singulars, 1.0, sigma2)
+            watts = allocate(pa_name, link.singulars, sigma2)
             want = cluster_sum_rate(channel, distances, watts, sigma2)
             got = cluster_spectral_efficiency(link, watts, sigma2)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)

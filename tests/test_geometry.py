@@ -182,10 +182,6 @@ def test_user_distance_must_match_surface_height():
         (lambda: UserPlacement(SurfaceSpec.grid(1, 1, 0.4), distance=math.nan), "distance"),
         (lambda: Scenario(math.nan, SurfaceSpec.grid(2, 2, 0.4), _one_user()), "wavelength"),
         (lambda: Scenario(math.inf, SurfaceSpec.grid(2, 2, 0.4), _one_user()), "wavelength"),
-        (lambda: Scenario(1.0, SurfaceSpec.grid(2, 2, 0.4), _one_user(), total_power=math.inf),
-         "total_power"),
-        (lambda: Scenario(1.0, SurfaceSpec.grid(2, 2, 0.4), _one_user(), total_power=math.nan),
-         "total_power"),
     ],
 )
 def test_non_finite_fields_are_refused(build, field):

@@ -56,10 +56,10 @@ def test_spectral_efficiency_checks_each_polarization_length():
 
 
 def test_two_layer_beats_cluster_across_snr():
-    ctx = prepare_sweep(fig12_scenario())
+    links = prepare_sweep(fig12_scenario())
     for snr_db in (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0):
-        tl = scheme_spectral_efficiency(ctx, "two-layer", "pa3", snr_db)
-        uc = scheme_spectral_efficiency(ctx, "uc", "pa3", snr_db)
+        tl = scheme_spectral_efficiency(links, "two-layer", "pa3", snr_db)
+        uc = scheme_spectral_efficiency(links, "uc", "pa3", snr_db)
         assert tl > uc
 
 

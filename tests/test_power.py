@@ -111,40 +111,40 @@ def _per_pol(watts):
 
 
 def test_pa1_selects_strongest_polarization():
-    watts = pa1_select(_spectra([4.0, 1.0, 1.0]), budget=1.0, sigma2=0.1)
+    watts = pa1_select(_spectra([4.0, 1.0, 1.0]), sigma2=0.1)
     assert _per_pol(watts) == pytest.approx([1.0, 0.0, 0.0])
     assert [w.size for w in watts] == [4, 4, 4]
     assert np.all(watts[0] > 0)
 
 
 def test_pa1_tie_break_prefers_x():
-    watts = pa1_select(_spectra([2.0, 2.0, 2.0]), budget=1.0, sigma2=0.1)
+    watts = pa1_select(_spectra([2.0, 2.0, 2.0]), sigma2=0.1)
     assert _per_pol(watts) == pytest.approx([1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        pa1_select(_spectra([0.0, 0.0, 0.0]), 1.0, 0.1)
+        pa1_select(_spectra([0.0, 0.0, 0.0]), 0.1)
 
 
 def test_pa2_uniform():
     # K = 2 users with nr_bar = 3 streams each per polarization:
-    # per-stream power = budget / (3 K nr_bar)
-    for w in pa2_equal([6, 6, 6], budget=1.0):
+    # per-stream power = 1 / (3 K nr_bar) of the unit budget
+    for w in pa2_equal([6, 6, 6]):
         assert w == pytest.approx(np.full(6, 1.0 / 18.0))
     # A polarization without streams takes no share: the two others split
-    # the whole budget, 1.5 W each.
-    uneven = pa2_equal([4, 0, 2], budget=3.0)
+    # the whole budget, 0.5 W each.
+    uneven = pa2_equal([4, 0, 2])
     assert [w.size for w in uneven] == [4, 0, 2]
-    assert uneven[0] == pytest.approx(np.full(4, 0.375))
-    assert uneven[2] == pytest.approx(np.full(2, 0.75))
-    assert sum(float(w.sum()) for w in uneven) == pytest.approx(3.0)
+    assert uneven[0] == pytest.approx(np.full(4, 0.125))
+    assert uneven[2] == pytest.approx(np.full(2, 0.25))
+    assert sum(float(w.sum()) for w in uneven) == pytest.approx(1.0)
 
 
 def test_pa3_equal_norms_split_evenly():
-    watts = pa3_two_layer(_spectra([2.0, 2.0, 2.0]), budget=1.0, sigma2=0.1)
+    watts = pa3_two_layer(_spectra([2.0, 2.0, 2.0]), sigma2=0.1)
     assert _per_pol(watts) == pytest.approx([1 / 3] * 3, abs=1e-9)
 
 
 def test_pa3_cuts_off_dead_polarization():
-    watts = pa3_two_layer(_spectra([5.0, 4.0, 1e-9]), budget=1.0, sigma2=0.5)
+    watts = pa3_two_layer(_spectra([5.0, 4.0, 1e-9]), sigma2=0.5)
     assert np.all(watts[2] == 0.0)
     assert sum(_per_pol(watts)[:2]) == pytest.approx(1.0)
 
@@ -155,14 +155,13 @@ def test_pa3_conservation():
         spectra = [rng.uniform(0.0, 2.0, size=int(rng.integers(1, 6))) for _ in range(3)]
         if not any(s.sum() > 0 for s in spectra):
             continue
-        budget = float(rng.uniform(0.5, 4.0))
         sigma2 = float(rng.uniform(0.05, 1.0))
-        watts = pa3_two_layer(spectra, budget, sigma2)
+        watts = pa3_two_layer(spectra, sigma2)
         assert all(np.all(w >= 0) for w in watts)
-        # each polarization spends exactly its first-layer share
-        q, _ = water_fill([s.sum() for s in spectra], budget, sigma2)
+        # each polarization spends exactly its first-layer share of the unit budget
+        q, _ = water_fill([s.sum() for s in spectra], 1.0, sigma2)
         assert _per_pol(watts) == pytest.approx(q, rel=1e-9, abs=1e-12)
-        assert sum(_per_pol(watts)) == pytest.approx(budget, rel=1e-9)
+        assert sum(_per_pol(watts)) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_selection_always_loses_to_splitting_on_normalized_channels():
