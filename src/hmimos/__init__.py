@@ -13,7 +13,6 @@ from .errors import (
     ConfigError,
     GeometryError,
     PrecoderDegeneracyError,
-    SingularityError,
 )
 from .experiments import figure_preset, se_sweep
 from .geometry import Scenario, SurfaceSpec, UserPlacement
@@ -30,7 +29,6 @@ __all__ = [
     "ConfigError",
     "GeometryError",
     "PrecoderDegeneracyError",
-    "SingularityError",
     "figure_preset",
     "se_sweep",
     "Scenario",

@@ -21,7 +21,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularityError
 from .geometry import Scenario, SurfaceSpec, patch_centers, patch_indices
 
 POLS = ("x", "y", "z")
@@ -72,13 +71,13 @@ def pair_blocks(diff, ds, area, k0: float) -> np.ndarray:
     transmit and receive patch areas, a number or an array broadcasting
     against ``diff[..., 0]``.  Aperture sinc factors use the transmit patch
     dimensions; the receive patch contributes its area only.  Returns the
-    (3, 3) + ``diff.shape[:-1]`` blocks: entry [p, q] is receive
-    polarization p, transmit polarization q.
+    (3, 3) + ``diff.shape[:-1]`` blocks: entry [p, q] is receive polarization
+    p, transmit polarization q.  A zero-length offset raises ``LinAlgError``.
     """
     diff = np.asarray(diff, dtype=float)
     dist = np.linalg.norm(diff, axis=-1)
     if np.any(dist == 0.0):
-        raise SingularityError("coincident patch centers")
+        raise np.linalg.LinAlgError("coincident patch centers")
     unit = diff / dist[..., None]
     c1, c2 = radial_coeffs(k0 * dist)
     scalar = (
@@ -177,7 +176,7 @@ def _offset_table(rx: SurfaceSpec, tx: SurfaceSpec, tx_frame):
     """One user's offset table (T, 3) and each pair's row in it (N̄_r, N_s).
 
     The table is every distinct x offset against every distinct y offset,
-    x varying fastest.
+    x varying fastest, less the entries that no pair reads.
     """
     ix, iy, origin = _index_frame(rx)
     tx_ix, tx_iy, tx_origin = tx_frame
@@ -190,6 +189,9 @@ def _offset_table(rx: SurfaceSpec, tx: SurfaceSpec, tx_frame):
     diff[..., 0] = x_off
     diff[..., 1] = y_off[:, None]
     diff[..., 2] = shift[2]
+    used = np.bincount(code.ravel(), minlength=x_off.size * y_off.size) > 0
+    if not used.all():  # drop a circle's unread bounding-grid offsets, renumber in spare x_code
+        diff, code = diff.reshape(-1, 3)[used], np.take(np.cumsum(used) - 1, code, out=x_code)
     return diff.reshape(-1, 3), code
 
 
@@ -200,10 +202,11 @@ def offset_tables(scenario: Scenario) -> list[tuple[np.ndarray, np.ndarray]]:
     both surfaces (a circle's from its bounding grid), and its pairs' blocks
     are ``table[p, q][code]``.  One :func:`pair_blocks` evaluation covers
     all users' tables, each entry with its user's receive patch area.  At
-    equal receive and transmit pitch a user's table has span_r + span_t + 1
-    offsets per axis and pairs at equal grid offset share one entry; at
-    unequal pitch it has about one entry per pair.  A user with a zero-length
-    offset or a table that is not finite raises ``np.linalg.LinAlgError``.
+    equal receive and transmit pitch a grid user's table has span_r +
+    span_t + 1 offsets per axis and pairs at equal grid offset share one
+    entry; at unequal pitch it has about one entry per pair.  Some pair
+    reads every entry.  A user with a zero-length offset or a table that is
+    not finite raises ``np.linalg.LinAlgError``.
     """
     tx_spec = scenario.transmit
     tx_frame = _index_frame(tx_spec)
@@ -215,7 +218,7 @@ def offset_tables(scenario: Scenario) -> list[tuple[np.ndarray, np.ndarray]]:
     try:
         with np.errstate(all="ignore"):  # an offset or pitch that overflows is refused below
             table = pair_blocks(diff, (tx_spec.dx, tx_spec.dy), area, scenario.k0)
-    except SingularityError:  # users sit above the transmitter, so only an underflow gives 0
+    except np.linalg.LinAlgError:  # users sit above the transmitter, so only an underflow gives 0
         user = np.searchsorted(bounds, np.argmin(np.linalg.norm(diff, axis=-1)), side="right")
         raise np.linalg.LinAlgError(f"user {user}: a patch offset underflows to length 0") from None
     tables = [(table[..., lo:hi], code) for lo, hi, code in zip(bounds, bounds[1:], codes)]

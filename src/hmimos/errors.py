@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit with 2,
-degenerate precoding scenarios with 3.  A :class:`SingularityError` (a
-zero-length patch offset) reaches it as a user's ``LinAlgError``: also 3.
+degenerate precoding scenarios with 3, and so do numerical failures
+(``np.linalg.LinAlgError``, such as a zero-length patch offset).
 """
 
 
@@ -12,10 +12,6 @@ class ConfigError(ValueError):
 
 class GeometryError(ValueError):
     """A surface layout cannot be realized."""
-
-
-class SingularityError(ValueError):
-    """Field evaluation requested at a coincident source/observation point."""
 
 
 class PrecoderDegeneracyError(RuntimeError):

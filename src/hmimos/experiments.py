@@ -1,13 +1,13 @@
 """Scenario pipelines and figure presets producing deterministic CSVs.
 
-Spectral-efficiency sweeps interpret the SNR axis as the mean per-stream
-received SNR under uniform allocation, with a fixed 20 dB aperture-gain
-headroom: the effective channel is rescaled so the mean squared stream gain
-equals ``GAIN_HEADROOM`` times the stream count.  The power allocations
-spend a unit budget, so a point at ``snr_db`` has noise power
-1 / 10^(snr_db/10).  Only orderings and ratios between schemes are
-meaningful; absolute bit rates depend on this normalization and are
-documented as such.
+Spectral-efficiency sweeps take their SNR axis from the channel alone, with
+a fixed 20 dB aperture-gain headroom: the channel is rescaled so that a unit
+budget spread evenly over the 3 N_s transmit ports delivers, through the
+co-polarized blocks H_pp, a mean received power of ``GAIN_HEADROOM`` per
+receive port: scale^2 = GAIN_HEADROOM 9 N_r N_s / ||blockdiag(H_pp)||_F^2.
+A point at ``snr_db`` has noise power 1 / 10^(snr_db/10).  Only orderings
+and ratios between schemes are meaningful; absolute bit rates depend on
+this normalization and are documented as such.
 
 The user-cluster scheme keeps its physical cross-polarization interference:
 clustering confines each user's signal to one co-polarized sub-channel but
@@ -54,25 +54,27 @@ def cluster_spectral_efficiency(link: StreamLink, watts, sigma2: float) -> float
 
 
 def prepare_sweep(scenario: Scenario, schemes=SCHEMES, tol: float = DEFAULT_TOL) -> dict:
-    """Each scheme's :class:`StreamLink` at the gain headroom of the two-layer gains.
+    """The :class:`StreamLink` of each scheme in ``schemes``, at the channel's headroom scale.
 
-    Both links come from the unscaled channel: a channel scaled by c scales
+    No precoder sets the scale, so only the schemes asked for are precoded.
+    Each link comes from the unscaled channel: a channel scaled by c scales
     the stream gains by c and the leakage powers by c^2.  Two-layer streams
     leak nothing.
     """
     channel = assemble_channel(scenario)
-    gains = two_layer_precoder(channel, tol).singulars
-    n_tot = sum(s.size for s in gains)
-    sum2 = sum(float(np.sum(s**2)) for s in gains)
-    scale2 = GAIN_HEADROOM * n_tot**2 / sum2 if sum2 > 0.0 else math.inf
-    if not math.isfinite(scale2):  # the squared gains underflow, or the scale overflows
-        raise PrecoderDegeneracyError("H", "its two-layer stream gains are too weak to scale")
+    energy = sum(float(np.vdot(h, h).real) for h in channel.blocks[range(3), range(3)])
+    scale2 = GAIN_HEADROOM * 9 * channel.n_rx * channel.n_tx / energy if energy else math.inf
+    if not 0.0 < scale2 < math.inf:  # the energy or the scale underflows or overflows
+        raise PrecoderDegeneracyError("H", "its co-polarized energy is too weak or strong to scale")
     scale = math.sqrt(scale2)
-    links = {"two-layer": StreamLink(gains, np.zeros((n_tot, n_tot)))}
+    links = {}
+    if "two-layer" in schemes:
+        gains = two_layer_precoder(channel, tol).singulars
+        links["two-layer"] = StreamLink(gains, np.zeros((sum(s.size for s in gains),) * 2))
     if "uc" in schemes:
         links["uc"] = cluster_link(channel, [u.distance for u in scenario.users])
     return {
-        name: StreamLink(tuple(s * scale for s in link.singulars), link.leakage * scale**2)
+        name: StreamLink(tuple(s * scale for s in link.singulars), link.leakage * scale2)
         for name, link in links.items()
     }
 

@@ -3,7 +3,9 @@
 None of these is on a pipeline path: they evaluate the textbook closed forms
 one point at a time, or format a CSV one value at a time, independent of the
 vectorized kernels and the block writer in ``hmimos``; ``per_group_bd`` is
-block diagonalization as first written, one full SVD per group.  The
+block diagonalization as first written, one full SVD per group, and
+``gain_headroom_links`` the sweep's SNR scale as first written, from the
+two-layer stream gains.  The
 near-field report, the cross-polar residual, ``bd_leakage`` and
 ``block_rows`` measure what the library computes; no subcommand or preset
 needs them.
@@ -15,12 +17,18 @@ from itertools import repeat
 
 import numpy as np
 
-from hmimos.channel import POLS, pair_blocks
+from hmimos.channel import POLS, assemble_channel, pair_blocks
 from hmimos.correlation import im_green0_xx, transmit_correlation
 from hmimos.csvio import _block_length, fmt
-from hmimos.errors import SingularityError
+from hmimos.experiments import GAIN_HEADROOM
 from hmimos.geometry import Scenario, patch_centers
-from hmimos.precoding import cluster_users, cross_polar_system, two_layer_precoder
+from hmimos.precoding import (
+    StreamLink,
+    cluster_link,
+    cluster_users,
+    cross_polar_system,
+    two_layer_precoder,
+)
 
 
 def oracle_write(path, config, columns, rows):
@@ -48,7 +56,7 @@ def scalar_green(r, rp, k0: float) -> complex:
     """Free-space scalar Green's function exp(i k0 d) / (4 pi d)."""
     d = float(np.linalg.norm(np.asarray(r, dtype=float) - np.asarray(rp, dtype=float)))
     if d == 0.0:
-        raise SingularityError("coincident source and observation points")
+        raise np.linalg.LinAlgError("coincident source and observation points")
     return np.exp(1j * k0 * d) / (4.0 * math.pi * d)
 
 
@@ -212,6 +220,31 @@ def cluster_sum_rate(channel, distances, watts, sigma2: float) -> float:
             signal = watts[qi][offset + j] * s[j] ** 2
             total += math.log2(1.0 + signal / (leak[j] + sigma2))
     return total
+
+
+def gain_headroom_links(scenario):
+    """Both schemes' stream links at the sweep's former scale, and that scale^2.
+
+    The scale came from the two-layer stream gains, scale^2 = GAIN_HEADROOM
+    n^2 / sum s^2 over the n two-layer streams, so that the SNR axis read as
+    the mean per-stream received SNR under uniform allocation, GAIN_HEADROOM
+    below it.  Both links come from the unscaled channel and are scaled as
+    the sweep scales them: gains by the scale, leakage powers by its square.
+    """
+    channel = assemble_channel(scenario)
+    gains = two_layer_precoder(channel).singulars
+    n_tot = sum(s.size for s in gains)
+    scale2 = GAIN_HEADROOM * n_tot**2 / sum(float(np.sum(s**2)) for s in gains)
+    scale = math.sqrt(scale2)
+    links = {
+        "two-layer": StreamLink(gains, np.zeros((n_tot, n_tot))),
+        "uc": cluster_link(channel, [u.distance for u in scenario.users]),
+    }
+    scaled = {
+        name: StreamLink(tuple(s * scale for s in link.singulars), link.leakage * scale2)
+        for name, link in links.items()
+    }
+    return scaled, scale2
 
 
 def per_group_bd(user_blocks, tol: float = 1e-10):

@@ -6,8 +6,7 @@ import pytest
 
 from _oracles import dense_assemble_channel, dyadic_green, scalar_green, significant_count
 from _support import two_user_scenario
-from hmimos.channel import assemble_channel, pair_blocks, radial_coeffs
-from hmimos.errors import SingularityError
+from hmimos.channel import assemble_channel, offset_tables, pair_blocks, radial_coeffs
 from hmimos.geometry import Scenario, SurfaceSpec, UserPlacement, patch_indices
 from hmimos.metrics import capacity, capacity_families, eigen_spectrum
 from hmimos.precoding import cross_polar_system
@@ -37,8 +36,10 @@ def test_scalar_green_inverse_distance_law():
     g1 = scalar_green([0, 0, 0], [0, 0, 0.7], K0)
     g2 = scalar_green([0, 0, 0], [0, 0, 1.4], K0)
     assert abs(g2) == pytest.approx(abs(g1) / 2)
-    with pytest.raises(SingularityError):
+    with pytest.raises(np.linalg.LinAlgError):
         scalar_green([1, 2, 3], [1, 2, 3], K0)
+    with pytest.raises(np.linalg.LinAlgError, match="coincident patch centers"):
+        one_pair_block([1, 2, 3], [1, 2, 3], (0.4, 0.4), (0.4, 0.4), K0)
 
 
 def test_radial_coeffs_at_unity():
@@ -201,6 +202,17 @@ def test_equal_grid_offsets_give_bit_equal_entries(layout):
         assert first.size < len(offset)  # some offsets repeat
         entries = channel.blocks[:, :, channel.user_rows(k)].reshape(3, 3, -1)
         assert np.array_equal(entries[..., first[group.reshape(-1)]], entries)
+
+
+def test_every_offset_table_entry_is_read():
+    # At unequal pitch a circle's bounding grid has offsets that no pair forms.
+    centers = ((0.5, 0.3, 1.0), (-0.6, 0.4, 1.5), (0.2, -0.7, 2.0))
+    users = tuple(
+        UserPlacement(SurfaceSpec.grid(3, 2, 0.3, center=c, role="receive"), c[2]) for c in centers
+    )
+    scenario = Scenario(wavelength=1.0, transmit=SurfaceSpec.circle(64, 0.4), users=users)
+    for table, code in offset_tables(scenario):
+        assert np.array_equal(np.unique(code), np.arange(table.shape[-1]))
 
 
 def reflection(spec, axis):

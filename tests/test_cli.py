@@ -154,6 +154,59 @@ def test_cluster_scheme_requires_k_multiple_of_three(tmp_path, capsys, monkeypat
     assert "divisible by 3" in capsys.readouterr().err
 
 
+# A 5x4 transmitter that block diagonalization cannot serve: the users of
+# the console-script smoke scenario, each on a 4-patch circle at pitch 0.3.
+BD_FAILS_SCENARIO = """\
+tx.layout = rectangle
+tx.nx = 5
+tx.ny = 4
+tx.dx = 0.4
+tx.dy = 0.4
+rx.layout = circle
+rx.total = 4
+rx.dx = 0.3
+rx.dy = 0.3
+user1.z = 1.0
+user1.cx = 0.5
+user1.cy = 0.3
+user2.z = 1.5
+user2.cx = -0.6
+user2.cy = 0.4
+user3.z = 2.0
+user3.cx = 0.2
+user3.cy = -0.7
+"""
+
+
+def test_cluster_scheme_runs_no_block_diagonalization(tmp_path, capsys, monkeypatch):
+    scenario = write(tmp_path, "bd_fails.cfg", BD_FAILS_SCENARIO)
+    argv = ["precode-sweep", "--scenario", str(scenario), "--out", str(tmp_path)]
+    assert main(argv) == 3
+    assert "interference of the other 8 blocks" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the user-cluster scheme ran the two-layer precoder")
+
+    monkeypatch.setattr("hmimos.experiments.two_layer_precoder", refuse)
+    assert main(argv + ["--schemes", "uc"]) == 0
+    _, rows = read_rows(tmp_path / "precode_sweep.csv")
+    assert len(rows) == 3 * 16
+    assert all(r[0] == "uc" and np.isfinite(float(r[3])) for r in rows)
+
+
+def test_each_scheme_rows_ignore_the_other_scheme(tmp_path):
+    scenario = write(tmp_path, "k3.cfg", K3_SCENARIO)
+    rows = {}
+    for schemes in ("uc", "two-layer", "two-layer,uc"):
+        out = tmp_path / schemes
+        argv = ["precode-sweep", "--scenario", str(scenario), "--out", str(out)]
+        assert main(argv + ["--schemes", schemes]) == 0
+        rows[schemes] = read_rows(out / "precode_sweep.csv")[1]
+    for scheme in ("uc", "two-layer"):
+        assert rows[scheme] == [r for r in rows["two-layer,uc"] if r[0] == scheme]
+
+
 def test_degenerate_scenario_exits_three(tmp_path, capsys):
     text = """\
 scenario.wavelength = 1.0

@@ -7,7 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import block_rows, cluster_sum_rate, oracle_write, two_layer_sum_rate
+from _oracles import (
+    block_rows,
+    cluster_sum_rate,
+    gain_headroom_links,
+    oracle_write,
+    two_layer_sum_rate,
+)
 from _support import random_nf_scenario
 from hmimos.channel import POLS, assemble_channel
 from hmimos.correlation import transmit_correlation
@@ -17,6 +23,8 @@ from hmimos.experiments import (
     CORRELATION_COLUMNS,
     PA_NAMES,
     GAIN_HEADROOM,
+    SCHEMES,
+    SNR_GRID,
     _correlation_cut,
     _se_scenario,
     channel_rows,
@@ -25,10 +33,11 @@ from hmimos.experiments import (
     fig12_scenario,
     prepare_sweep,
     scheme_spectral_efficiency,
+    se_sweep,
 )
 from hmimos.geometry import Scenario, SurfaceSpec, UserPlacement
 from hmimos.power import pa1_select, pa2_equal, pa3_two_layer
-from hmimos.precoding import cluster_link, two_layer_precoder
+from hmimos.precoding import cluster_link
 
 
 def oracle_channel_rows(scenario):
@@ -159,13 +168,16 @@ def allocate(pa_name, singulars, sigma2):
     return pa3_two_layer(squared, sigma2)
 
 
+def channel_scale2(channel):
+    """GAIN_HEADROOM 9 N_r N_s / ||blockdiag(H_xx, H_yy, H_zz)||_F^2, a sweep's scale^2."""
+    co2 = sum(float(np.linalg.norm(channel.block(p, p))) ** 2 for p in POLS)
+    return GAIN_HEADROOM * 9 * channel.n_rx * channel.n_tx / co2
+
+
 def sweep_channel(scenario):
-    """The channel rescaled by the gain-headroom scale ``prepare_sweep`` applies to its links."""
+    """The channel rescaled by the headroom scale ``prepare_sweep`` applies to its links."""
     channel = assemble_channel(scenario)
-    spectra = two_layer_precoder(channel).singulars
-    n_tot = sum(s.size for s in spectra)
-    sum2 = sum(float(np.sum(s**2)) for s in spectra)
-    return replace(channel, matrix=channel.matrix * math.sqrt(GAIN_HEADROOM * n_tot**2 / sum2))
+    return replace(channel, matrix=channel.matrix * math.sqrt(channel_scale2(channel)))
 
 
 SWEEP_SCENARIOS = {
@@ -206,6 +218,25 @@ def test_cluster_rate_matches_the_per_user_pair_oracle(name):
     assert_sweep_meets_oracle(
         scenario, "uc", lambda watts, sigma2: cluster_sum_rate(channel, distances, watts, sigma2)
     )
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SCENARIOS))
+def test_channel_scale_relabels_the_gain_scale_snr_axis(name):
+    # SE sees the channel only through scale^2 / sigma^2, so a scale c times
+    # the gain-based one gives the gain-based rows 20 log10(c) dB further up.
+    scenario = SWEEP_SCENARIOS[name]
+    old_links, old_scale2 = gain_headroom_links(scenario)
+    shift_db = 10.0 * math.log10(channel_scale2(assemble_channel(scenario)) / old_scale2)
+    for scheme, pa_name, snr_db, got in se_sweep(scenario, SCHEMES, PA_NAMES, SNR_GRID):
+        want = scheme_spectral_efficiency(old_links, scheme, pa_name, snr_db + shift_db)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_each_scheme_rows_ignore_the_other_scheme():
+    both = se_sweep(fig12_scenario(), SCHEMES, PA_NAMES, SNR_GRID)
+    for scheme in SCHEMES:
+        alone = se_sweep(fig12_scenario(), (scheme,), PA_NAMES, SNR_GRID)
+        assert alone == [row for row in both if row[0] == scheme]
 
 
 def test_cluster_rate_with_unequal_user_grids(mixed_scenario):
