@@ -14,9 +14,9 @@ Two schemes:
   the receivers (at most 3 N_r dimensions), never in the full 3 N_s input
   space.
 
-Rank decisions use the tolerance-thresholded SVD; channel blocks whose
-largest singular value collapses raise :class:`PrecoderDegeneracyError`
-naming the block.
+Rank decisions use the tolerance-thresholded SVD, and an SVD is taken
+only where it makes one; a cross-polarized block whose Frobenius norm
+collapses raises :class:`PrecoderDegeneracyError` naming the block.
 """
 
 from __future__ import annotations
@@ -116,18 +116,23 @@ def gaussian_elim_precoder(channel: PolarizedChannel, tol: float = DEFAULT_TOL):
     downstream.  Separating the per-polarization data is the second
     (block-diagonalization) layer's job.
 
-    A cross block whose largest singular value collapses below ``tol`` of the
-    channel scale (boresight-aligned geometries zero them exactly) raises,
-    naming the block.
+    A cross block whose Frobenius norm is at most ``tol`` times the largest
+    block's (boresight-aligned geometries zero them exactly) raises, naming
+    the block.  Two SVDs make the rank decisions: the row space of the
+    system and the first cut of the projected adjoint.  The second
+    projection pass needs no cut: its input U has orthonormal columns and
+    coefficients C = R^H U on the row-space basis R, so the singular values
+    of U - R C are sqrt(1 - sigma(C)^2), all in [sqrt(3) / 2, 1] once
+    ||C||_F < 1/2, and QR spans the same subspace.  A larger C raises.
     """
-    tops = {(p, q): float(np.linalg.norm(channel.block(p, q), 2)) for p in POLS for q in POLS}
-    scale = max(tops.values())
+    norms = {(p, q): float(np.linalg.norm(channel.block(p, q))) for p in POLS for q in POLS}
+    scale = max(norms.values())
     for q in POLS:
         for p in POLS:
-            if p != q and tops[p, q] <= tol * scale:
+            if p != q and norms[p, q] <= tol * scale:
                 raise PrecoderDegeneracyError(
                     f"H_{p}{q}",
-                    f"largest singular value {tops[p, q]:.3e} below {tol:g} of channel scale",
+                    f"Frobenius norm {norms[p, q]:.3e} at most {tol:g} of the largest block's",
                 )
 
     n_s, n_r = channel.n_tx, channel.n_rx
@@ -139,11 +144,20 @@ def gaussian_elim_precoder(channel: PolarizedChannel, tol: float = DEFAULT_TOL):
     basis = np.zeros((3 * n_s, 3 * n_r), dtype=np.complex128)
     for i in range(3):
         block_view(basis)[i, i] = channel.blocks[i, i].conj().T
+    basis -= row_space @ (row_space.conj().T @ basis)
+    basis = range_basis(basis, tol)
     # The second pass takes the row-space residual from eps / s_min (left by
-    # orthonormalizing a nearly cancelled matrix) back down to eps.
-    for _ in range(2):
-        basis -= row_space @ (row_space.conj().T @ basis)
-        basis = range_basis(basis, tol)
+    # orthonormalizing a nearly cancelled matrix) back down to eps; with
+    # ||C||_F < 1/2 it keeps every column, so QR orthonormalizes it.
+    coeffs = row_space.conj().T @ basis
+    leftover = float(np.linalg.norm(coeffs))
+    if leftover >= 0.5:
+        raise PrecoderDegeneracyError(
+            "H_XP", f"re-projection coefficients of Frobenius norm {leftover:.3e} (at least 1/2)"
+        )
+    basis -= row_space @ coeffs
+    del row_space
+    basis = np.linalg.qr(basis)[0]
     return basis[:n_s], basis[n_s : 2 * n_s], basis[2 * n_s :]
 
 

@@ -3,9 +3,10 @@
 None of these is on a pipeline path: they evaluate the textbook closed forms
 one point at a time, or format a CSV one value at a time, independent of the
 vectorized kernels and the block writer in ``hmimos``; ``per_group_bd`` is
-block diagonalization as first written, one full SVD per group, and
-``gain_headroom_links`` the sweep's SNR scale as first written, from the
-two-layer stream gains.  The
+block diagonalization as first written, one full SVD per group,
+``two_pass_first_layer`` the first layer with a rank-cut SVD after each
+projection pass, and ``gain_headroom_links`` the sweep's SNR scale as first
+written, from the two-layer stream gains.  The
 near-field report, the cross-polar residual, ``bd_leakage`` and
 ``block_rows`` measure what the library computes; no subcommand or preset
 needs them.
@@ -22,6 +23,7 @@ from hmimos.correlation import im_green0_xx, transmit_correlation
 from hmimos.csvio import _block_length, fmt
 from hmimos.experiments import GAIN_HEADROOM
 from hmimos.geometry import Scenario, patch_centers
+from hmimos.numerics import range_basis
 from hmimos.precoding import (
     StreamLink,
     cluster_link,
@@ -269,6 +271,23 @@ def per_group_bd(user_blocks, tol: float = 1e-10):
         precoders.append(null @ v1.conj().T)
         gains.append(s)
     return precoders, gains
+
+
+def two_pass_first_layer(channel, tol: float = 1e-10):
+    """Reference first layer: the co-polarized adjoint projected off the
+    cross-polar system's row space R twice, each pass orthonormalized by a
+    rank-cut SVD.  Returns the stacked 3 N_s x d basis and the coefficients
+    C = R^H U of the first pass's basis U on R, which the second pass
+    subtracts.
+    """
+    n_s, n_r = channel.n_tx, channel.n_rx
+    row_space = range_basis(cross_polar_system(channel).conj().T, tol)
+    basis = np.zeros((3 * n_s, 3 * n_r), dtype=np.complex128)
+    for i in range(3):
+        basis[i * n_s : (i + 1) * n_s, i * n_r : (i + 1) * n_r] = channel.blocks[i, i].conj().T
+    basis = range_basis(basis - row_space @ (row_space.conj().T @ basis), tol)
+    coeffs = row_space.conj().T @ basis
+    return range_basis(basis - row_space @ coeffs, tol), coeffs
 
 
 def bd_leakage(user_blocks, precoders) -> float:

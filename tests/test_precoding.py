@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from _oracles import bd_leakage, cluster_transceivers, cross_polar_residual, per_group_bd
+from _oracles import (
+    bd_leakage,
+    cluster_transceivers,
+    cross_polar_residual,
+    per_group_bd,
+    two_pass_first_layer,
+)
 from _support import random_nf_scenario, two_user_scenario
 from hmimos import precoding
-from hmimos.channel import POLS, assemble_channel
+from hmimos.channel import POLS, PolarizedChannel, assemble_channel, block_view
 from hmimos.errors import CapacityExceededError, ConfigError, PrecoderDegeneracyError
 from hmimos.geometry import Scenario, SurfaceSpec, UserPlacement
 from hmimos.numerics import svd_partition, thin_svd
@@ -155,6 +161,42 @@ def test_boresight_raises_degeneracy():
     channel = assemble_channel(scenario)
     with pytest.raises(PrecoderDegeneracyError, match="H_"):
         gaussian_elim_precoder(channel)
+
+
+def _random_channel(seed, n_r=2, n_s=6):
+    rng = np.random.default_rng(seed)
+    shape = (3 * n_r, 3 * n_s)
+    matrix = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return PolarizedChannel(matrix=matrix, user_offsets=(0, n_r))
+
+
+@pytest.mark.parametrize("scale, raises", [(1e-12, True), (1e-6, False)])
+def test_degeneracy_guard_compares_frobenius_norms(scale, raises):
+    # All nine blocks have Frobenius norm about sqrt(2 * 12); H_yz is scaled
+    # to either side of tol = 1e-10 of the largest.
+    channel = _random_channel(127)
+    block_view(channel.matrix)[1, 2] *= scale
+    if raises:
+        with pytest.raises(PrecoderDegeneracyError, match="H_yz.*Frobenius norm"):
+            gaussian_elim_precoder(channel)
+    else:
+        p_mats = gaussian_elim_precoder(channel)
+        assert cross_polar_residual(channel, p_mats) < 1e-10
+
+
+def test_reprojection_guard_raises_on_large_coefficients(monkeypatch):
+    # If the first pass left a column inside the cross-polar row space, the
+    # second pass's input would lose rank; the coefficients catch it.
+    calls = []
+    original = precoding.range_basis
+
+    def first_pass_in_row_space(a, tol):
+        calls.append(original(a, tol))
+        return calls[0][:, :1] if len(calls) == 2 else calls[-1]
+
+    monkeypatch.setattr(precoding, "range_basis", first_pass_in_row_space)
+    with pytest.raises(PrecoderDegeneracyError, match="H_XP.*re-projection"):
+        gaussian_elim_precoder(_random_channel(131))
 
 
 def test_bd_single_block_keeps_row_space():
@@ -308,6 +350,35 @@ def test_bd_rank_deficient_stack_takes_two_svds_per_group(monkeypatch):
     for got, want in zip(gains, ref_gains):
         assert np.max(np.abs(got - want)) <= 1e-9 * top
     assert bd_leakage(groups, precoders) < 1e-11
+
+
+FIRST_LAYER_SCENARIOS = {
+    **{f"nf{i}": (lambda i=i: random_nf_scenario(np.random.default_rng(89 + i))) for i in range(10)},
+    "k3-6x6-2x2": _k3_scenario,
+    "k6-10x10-2x2": lambda: _k3_scenario(10, (2, 2), K6_PLACEMENTS),
+    "k6-20x20-3x2": lambda: _k3_scenario(20, (3, 2), K6_PLACEMENTS),
+    "two-user": two_user_scenario,
+    "sweep-10x10-k3-4x3": lambda: _sweep_scenario(1, 10, 3, (4, 3)),
+    "sweep-12x12-k6-2x2": lambda: _sweep_scenario(2, 12, 6, (2, 2)),
+    "sweep-15x15-k6-3x2": lambda: _sweep_scenario(3, 15, 6, (3, 2)),
+    # near capacity: the benchmark draw of perfbench's strict xfail, seeds 0-11
+    **{f"near-capacity-12x12-k6-4x3-seed{s}": (lambda s=s: _sweep_scenario(s, 12, 6, (4, 3)))
+       for s in range(12)},
+}
+
+
+@pytest.mark.parametrize("name", FIRST_LAYER_SCENARIOS)
+def test_first_layer_spans_the_two_pass_reference(name):
+    channel = assemble_channel(FIRST_LAYER_SCENARIOS[name]())
+    p = np.vstack(gaussian_elim_precoder(channel))
+    ref, coeffs = two_pass_first_layer(channel)
+    assert p.shape == ref.shape
+    # The Frobenius norm bounds the sine of the largest principal angle.
+    assert np.linalg.norm(p - ref @ (ref.conj().T @ p)) <= 1e-12
+    assert np.linalg.norm(p.conj().T @ p - np.eye(p.shape[1])) <= 1e-13
+    # Far below the 1/2 at which the re-projection would need a rank cut;
+    # near capacity it reaches about 10 eps / tol (2.6e-5).
+    assert np.linalg.norm(coeffs) <= 1e-4
 
 
 @pytest.mark.parametrize(
