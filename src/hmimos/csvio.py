@@ -5,19 +5,18 @@ re-running a preset reproduces the file byte for byte.  Floats are written
 with 17 significant digits.
 
 Rows arrive either as a sequence of tuples or as a :class:`BlockTable`, whose
-blocks hold each column as a scalar shared by the block, as a 1-D numpy
-array, or coded as ``(values, codes)``.  Tuples are written row by row, one
-``fmt`` call per value, ``CHUNK_ROWS`` lines per write.
+blocks hold each column as a scalar shared by the block or coded as
+``(values, codes)`` over int or float values.  Tuples are written row by
+row, one ``fmt`` call per value, ``CHUNK_ROWS`` lines per write.
 
 A block is written in one text pass.  Each column first becomes its texts:
-a scalar one text, a coded column one text per value, and an array column
-one text per row.  Each run of scalar columns is then folded into the texts
-of the next column (a trailing run into the column before it), and adjacent
-coded columns that share one ``codes`` array are joined once per value.
-Every ``CHUNK_ROWS`` rows of the block are gathered into a rows x pieces
-grid of texts and written with one join.  The text is exactly what ``fmt``
-gives per value.  The writer holds one block's arrays and texts at a time,
-never the whole table or file.
+a scalar one text, a coded column one text per value.  Each run of scalar
+columns is then folded into the texts of the next column (a trailing run
+into the column before it), and adjacent coded columns that share one
+``codes`` array are joined once per value.  Every ``CHUNK_ROWS`` rows of
+the block are gathered into a rows x pieces grid of texts and written with
+one join.  The text is exactly what ``fmt`` gives per value.  The writer
+holds one block's arrays and texts at a time, never the whole table or file.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ _FLOAT_SPEC = ".17g"
 
 
 def fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, float):
         return format(value, _FLOAT_SPEC)
     if isinstance(value, complex):
@@ -49,11 +46,12 @@ class BlockTable:
     """A sized table of rows, built one block at a time.
 
     ``blocks()`` yields each block as a tuple of columns.  A column is a
-    scalar shared by every row of the block, a 1-D numpy array with one
-    value per row, or a coded column ``(values, codes)`` of two 1-D arrays
-    whose row i holds ``values[codes[i]]``.  Each block has at least one
-    array or coded column, and its arrays and codes have equal lengths.
-    ``n_rows`` is the sum of those lengths.
+    scalar shared by every row of the block or a coded column
+    ``(values, codes)`` of two 1-D arrays whose row i holds
+    ``values[codes[i]]``; its values are ints or floats, and any other
+    column raises ``TypeError``.  Each block has at least one coded column,
+    and its codes have equal lengths.  ``n_rows`` is the sum of those
+    lengths.
     """
 
     n_rows: int
@@ -64,38 +62,34 @@ class BlockTable:
 
 
 def _block_length(columns) -> int:
-    lengths = {len(c) for c in columns if isinstance(c, np.ndarray)}
-    lengths |= {len(c[1]) for c in columns if isinstance(c, tuple)}
+    if any(isinstance(c, np.ndarray) for c in columns):
+        raise TypeError("a block column is a scalar or a coded (values, codes) pair, not an array")
+    lengths = {len(c[1]) for c in columns if isinstance(c, tuple)}
     if len(lengths) != 1:
-        raise ValueError(f"a block needs array columns of one length, got {sorted(lengths)}")
+        raise ValueError(f"a block needs coded columns of one length, got {sorted(lengths)}")
     return lengths.pop()
 
 
 def _texts(values: np.ndarray, sep: str) -> np.ndarray:
-    """``fmt(v) + sep`` of each value, as an object array."""
-    items = values.tolist()
+    """``fmt(v) + sep`` of each int or float value, as an object array."""
     kind = values.dtype.kind
-    if kind in "iu" or (kind == "f" and values.dtype.itemsize <= 8):  # Python ints or floats
-        # "%.17g" % v runs the same routine as format(v, ".17g"), and "%d" % v
-        # the same as str(v); sep holds no "%".
-        spec = _FLOAT_SPEC if kind == "f" else "d"
-        texts = map(f"%{spec}{sep}".__mod__, items)
-    else:
-        texts = (fmt(v) + sep for v in items)
-    return np.fromiter(texts, dtype=object, count=len(items))
+    if kind not in "iuf" or values.dtype.itemsize > 8:  # not Python ints or floats
+        raise TypeError(f"coded column values must be ints or floats, got {values.dtype}")
+    items = values.tolist()
+    # "%.17g" % v runs the same routine as format(v, ".17g"), and "%d" % v
+    # the same as str(v); sep holds no "%".
+    spec = _FLOAT_SPEC if kind == "f" else "d"
+    return np.fromiter(map(f"%{spec}{sep}".__mod__, items), dtype=object, count=len(items))
 
 
 def _column_texts(column, sep: str):
     """One column as its text (a scalar) or as ``(texts, codes)``.
 
-    Row i of ``(texts, codes)`` reads ``texts[codes[i]]`` for a coded
-    column, and ``texts[i]`` (``codes`` None) for an array column.
+    Row i of ``(texts, codes)`` reads ``texts[codes[i]]``.
     """
     if isinstance(column, tuple):
         values, codes = column
         return _texts(values, sep), codes
-    if isinstance(column, np.ndarray):
-        return _texts(column, sep), None
     return fmt(column) + sep
 
 
@@ -120,7 +114,7 @@ def _block_chunks(columns) -> Iterable[str]:
         texts, codes = col
         if run:
             texts, run = run + texts, ""
-        if pieces and codes is not None and pieces[-1][1] is codes:
+        if pieces and pieces[-1][1] is codes:
             head = pieces[-1][0]
             size = min(len(head), len(texts))
             pieces[-1][0] = head[:size] + texts[:size]
@@ -132,7 +126,7 @@ def _block_chunks(columns) -> Iterable[str]:
         stop = min(start + CHUNK_ROWS, n)
         grid = np.empty((stop - start, len(pieces)), dtype=object)
         for j, (texts, codes) in enumerate(pieces):
-            grid[:, j] = texts[start:stop] if codes is None else texts[codes[start:stop]]
+            grid[:, j] = texts[codes[start:stop]]
         yield "".join(grid.ravel().tolist())
 
 

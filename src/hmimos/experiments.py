@@ -91,8 +91,10 @@ def scheme_spectral_efficiency(links: dict, scheme: str, pa_name: str, snr_db: f
         watts = pa1_select(squared, sigma2)
     elif pa_name == "pa2":
         watts = pa2_equal([s.size for s in squared])
-    else:
+    elif pa_name == "pa3":
         watts = pa3_two_layer(squared, sigma2)
+    else:
+        raise ConfigError(f"unknown power allocation {pa_name!r}")
     return cluster_spectral_efficiency(link, watts, sigma2)
 
 

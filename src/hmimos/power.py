@@ -9,6 +9,9 @@ Three schemes, each spending a unit budget:
 * PA3 water-fills twice: first over the per-polarization Frobenius gains,
   then over the singular values pooled within each polarization.
 
+PA1's selected polarization, and each one PA3 gives a positive share, has
+a positive gain to water-fill; a polarization without a share gets 0 W.
+
 Each scheme returns the watts of every stream: a tuple of three arrays, one
 per polarization, indexed like that polarization's stream gains.  A budget
 of P_T watts at noise power sigma2 allocates P_T times the unit-budget watts
@@ -55,13 +58,6 @@ def water_fill(gains, budget: float, sigma2: float):
     return powers, float(eps)
 
 
-def _water_fill_or_zero(gains: np.ndarray, budget: float, sigma2: float) -> np.ndarray:
-    """Water-filled watts, or all zeros without a budget or a positive gain."""
-    if budget <= 0 or not np.any(gains > 0):
-        return np.zeros(gains.size)
-    return water_fill(gains, budget, sigma2)[0]
-
-
 def pa1_select(spectra, sigma2: float) -> tuple[np.ndarray, ...]:
     """Polarization selection: the whole unit budget on the strongest polarization.
 
@@ -76,7 +72,7 @@ def pa1_select(spectra, sigma2: float) -> tuple[np.ndarray, ...]:
         raise ValueError("all effective channels are zero")
     sel = int(np.argmax(norms))
     return tuple(
-        _water_fill_or_zero(spec, 1.0, sigma2) if i == sel else np.zeros(spec.size)
+        water_fill(spec, 1.0, sigma2)[0] if i == sel else np.zeros(spec.size)
         for i, spec in enumerate(spectra)
     )
 
@@ -107,4 +103,7 @@ def pa3_two_layer(spectra, sigma2: float) -> tuple[np.ndarray, ...]:
     if not np.any(norms > 0):
         raise ValueError("all effective channels are zero")
     q, _ = water_fill(norms, 1.0, sigma2)
-    return tuple(_water_fill_or_zero(spec, q[i], sigma2) for i, spec in enumerate(spectra))
+    return tuple(
+        water_fill(spec, q[i], sigma2)[0] if q[i] > 0 else np.zeros(spec.size)
+        for i, spec in enumerate(spectra)
+    )

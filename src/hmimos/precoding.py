@@ -181,11 +181,14 @@ def bd_precoder(user_blocks, tol: float = DEFAULT_TOL):
     their inverse S^-1 V^H span the others' null space: the one SVD serves
     every group.  Its cut already implies each group's (by interlacing, the
     others' singular-value ratio is no smaller than the stack's), so no
-    further rank decision is made.  Otherwise each group takes its own SVD
-    of the other groups' coordinates, and a group whose rows lie in the span
-    of the others (including the case where those fill the whole input
-    space) has no interference-free direction and raises
-    :class:`CapacityExceededError` naming the block.
+    further rank decision is made.  A single group of full row rank takes
+    this path too, with no others to null.  Otherwise each group takes its
+    own SVD of the other groups' coordinates, and a group whose rows lie in
+    the span of the others (including the case where those fill the whole
+    input space) has no interference-free direction and raises
+    :class:`CapacityExceededError` naming the block.  A rank-deficient
+    single group, which no caller passes, has no others to take an SVD of
+    and raises ``ValueError``.
     """
     k = len(user_blocks)
     n_s = user_blocks[0].shape[1]
@@ -194,7 +197,7 @@ def bd_precoder(user_blocks, tol: float = DEFAULT_TOL):
     q = u[:, :rho]  # N_s x rho
     coords = stacked @ q  # M x rho
     bounds = np.cumsum([0] + [b.shape[0] for b in user_blocks])
-    if k > 1 and rho == stacked.shape[0]:
+    if rho == stacked.shape[0]:
         # The coordinates and their inverse S^-1 V^H, scaled by 1 / s[0] and
         # s[0] so that nothing overflows: every kept ratio s / s[0] is above
         # tol.  The real and imaginary parts are divided as reals, since
@@ -207,9 +210,7 @@ def bd_precoder(user_blocks, tol: float = DEFAULT_TOL):
     gains = []
     for i in range(k):
         rows = slice(bounds[i], bounds[i + 1])
-        if k == 1:
-            basis = np.eye(rho, dtype=np.complex128)
-        elif inverse is not None:
+        if inverse is not None:
             basis = np.linalg.qr(inverse[:, rows])[0]  # rho x m_i
             # unit @ inverse is I to rounding, so this is one Newton step
             # onto the others' null space: it takes the leakage left by

@@ -46,12 +46,8 @@ def block_rows(table):
     """The rows of a ``BlockTable`` as tuples of Python values, block by block."""
     for columns in table.blocks():
         n = _block_length(columns)
-        yield from zip(*(
-            c.tolist() if isinstance(c, np.ndarray)
-            else c[0][c[1]].tolist() if isinstance(c, tuple)
-            else repeat(c, n)
-            for c in columns
-        ))
+        yield from zip(*(c[0][c[1]].tolist() if isinstance(c, tuple) else repeat(c, n)
+                         for c in columns))
 
 
 def scalar_green(r, rp, k0: float) -> complex:

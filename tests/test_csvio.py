@@ -72,24 +72,24 @@ def test_bytes_match_the_row_by_row_writer(tmp_path_factory, rows, chunk):
         assert_same_bytes(tmp_path, rows)
 
 
-# Array dtype of each Python value type a block column may hold.
-DTYPES = {float: np.float64, int: np.int64, str: np.str_}
+# Array dtype of each Python value type a coded column may hold.
+DTYPES = {float: np.float64, int: np.int64}
 # Text that a "%"-template, a field separator or a line end could mistake
 # for its own.
 AWKWARD_TEXT = st.lists(
     st.sampled_from(["%", "%d", "%.17g", ",", "\n", "x"]), max_size=3
 ).map("".join)
+# Pools of the coded columns' values; a scalar column may also be text.
 COLUMN_POOLS = {
     float: st.lists(st.one_of(FLOAT_EDGES, st.floats(allow_subnormal=True)), min_size=1, max_size=6),
     int: st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6),
-    str: st.lists(st.one_of(st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
-                            AWKWARD_TEXT),
-                  min_size=1, max_size=6),
 }
-# Column forms: a scalar, an array of pool values, an array of floats that
-# never repeat (written plain), a coded column, and a coded column that
-# shares the codes array of the block's first coded column.
-FORMS = ["scalar", "array", "distinct", "coded", "shared"]
+SCALAR_TEXT = st.lists(st.one_of(st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+                                 AWKWARD_TEXT),
+                       min_size=1, max_size=6)
+# Column forms: a scalar, a coded column, and a coded column that shares the
+# codes array of the block's first coded column.
+FORMS = ["scalar", "coded", "shared"]
 
 
 @st.composite
@@ -103,6 +103,7 @@ def block_tables(draw):
     """
     width = draw(st.integers(1, 6))
     pools = [{kind: draw(pool) for kind, pool in COLUMN_POOLS.items()} for _ in range(width)]
+    texts = [draw(SCALAR_TEXT) for _ in range(width)]
     blocks = []
     n_rows = 0
     for _ in range(draw(st.integers(0, 5))):
@@ -112,7 +113,7 @@ def block_tables(draw):
         forms[draw(st.integers(0, width - 1))] = draw(st.sampled_from(FORMS[1:]))
         columns = []
         shared = None  # (number of values, codes) of the block's first coded column
-        for pool, form in zip(pools, forms):
+        for pool, text, form in zip(pools, texts, forms):
             kind = draw(st.sampled_from(list(pool)))
             if form == "shared" and shared is not None:
                 size, codes = shared
@@ -123,15 +124,8 @@ def block_tables(draw):
                                  dtype=np.intp)
                 shared = shared or (len(pool[kind]), codes)
                 columns.append((np.array(pool[kind], dtype=DTYPES[kind]), codes))
-            elif form == "distinct":
-                values = draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n,
-                                       unique=True))
-                columns.append(np.array(values, dtype=np.float64))
-            elif form == "array":
-                values = [draw(st.sampled_from(pool[kind])) for _ in range(n)]
-                columns.append(np.array(values, dtype=DTYPES[kind]))
             else:
-                columns.append(draw(st.sampled_from(pool[kind])))
+                columns.append(draw(st.sampled_from(pool[kind] + text)))
         blocks.append(tuple(columns))
     return BlockTable(n_rows, lambda: iter(blocks))
 
@@ -150,18 +144,47 @@ def test_block_table_bytes_match_the_row_by_row_writer(tmp_path_factory, table, 
     assert got.read_bytes() == want.read_bytes()
 
 
+def _coded(values, n):
+    """A coded column over ``values`` whose ``n`` rows all read the first value."""
+    return np.array(values), np.zeros(n, dtype=np.intp)
+
+
 @pytest.mark.parametrize(
     "block",
-    [(1.5, "x"), (np.zeros(2), np.zeros(3)), (np.zeros(2), (np.zeros(1), np.zeros(3, dtype=np.intp)))],
+    [(1.5, "x", 2), (_coded([0.5], 2), _coded([1], 3), "x"),
+     # two columns that share one codes array, then a longer one
+     (*[_coded([0.5], 2)] * 2, _coded([1], 3))],
     ids=["scalars", "ragged", "ragged-coded"],
 )
 def test_block_needs_array_columns_of_one_length(tmp_path, block):
     table = BlockTable(2, lambda: iter([block]))
-    with pytest.raises(ValueError, match="array columns of one length"):
-        write_csv(tmp_path / "t.csv", "cfg", ["a", "b"], table)
-    with pytest.raises(ValueError, match="array columns of one length"):
+    with pytest.raises(ValueError, match="coded columns of one length"):
+        write_csv(tmp_path / "t.csv", "cfg", ["a", "b", "c"], table)
+    with pytest.raises(ValueError, match="coded columns of one length"):
         list(block_rows(table))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "column",
+    [np.array([0.5, 1.5]), _coded(["x", "y"], 2), _coded([True, False], 2), _coded([0.5, 1j], 2)],
+    ids=["array", "str", "bool", "complex"],
+)
+def test_block_refuses_columns_other_than_scalars_and_int_or_float_codes(tmp_path, column):
+    # The bad column comes in the second block, after a whole chunk of good rows.
+    table = BlockTable(CHUNK_ROWS + 2, lambda: iter([
+        (_coded([0.5], CHUNK_ROWS), 1), (_coded([0.5], 2), column),
+    ]))
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "new.csv", "cfg", ["a", "b"], table)
+    assert list(tmp_path.iterdir()) == []
+
+    old = oracle_write(tmp_path / "out.csv", "old", ["a"], [(1,)])
+    before = old.read_bytes()
+    with pytest.raises(TypeError):
+        write_csv(old, "cfg", ["a", "b"], table)
+    assert old.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_equal_values_of_different_types_keep_their_own_text(tmp_path):
@@ -174,10 +197,10 @@ def test_equal_values_of_different_types_keep_their_own_text(tmp_path):
     assert text[2] == "100000000000000000,1,0"
     assert text[2 + CHUNK_ROWS] == "1e+17,1,-0"
 
-    # The same, as blocks of int and then float arrays.
+    # The same, as blocks of int and then float coded columns.
     table = BlockTable(4, lambda: iter([
-        (np.array([10**17, 10**17]), "a", np.array([0.0, 0.0])),
-        (np.array([1e17, 1e17]), "a", np.array([-0.0, 0.0])),
+        (_coded([10**17], 2), "a", _coded([0.0], 2)),
+        (_coded([1e17], 2), "a", (np.array([-0.0, 0.0]), np.arange(2))),
     ]))
     got = write_csv(tmp_path / "table.csv", "cfg", ["a", "b", "c"], table)
     assert got.read_text().splitlines()[2:] == [
@@ -214,9 +237,9 @@ def test_failed_write_leaves_no_file(tmp_path):
     assert old.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
-    # The same for a block table whose second block has a complex array column.
+    # The same for a block table whose second block has a complex coded column.
     table = BlockTable(CHUNK_ROWS + 2, lambda: iter([
-        (np.full(CHUNK_ROWS, 0.5), 1), (np.array([0.5, 1j]), 2),
+        (_coded([0.5], CHUNK_ROWS), 1), ((np.array([0.5, 1j]), np.arange(2)), 2),
     ]))
     with pytest.raises(TypeError, match="complex"):
         write_csv(tmp_path / "table.csv", "cfg", ["a", "b"], table)

@@ -18,6 +18,7 @@ from _support import random_nf_scenario
 from hmimos.channel import POLS, assemble_channel
 from hmimos.correlation import transmit_correlation
 from hmimos.csvio import write_csv
+from hmimos.errors import ConfigError
 from hmimos.experiments import (
     CO_POLS,
     CORRELATION_COLUMNS,
@@ -37,7 +38,7 @@ from hmimos.experiments import (
 )
 from hmimos.geometry import Scenario, SurfaceSpec, UserPlacement
 from hmimos.power import pa1_select, pa2_equal, pa3_two_layer
-from hmimos.precoding import cluster_link
+from hmimos.precoding import StreamLink, cluster_link
 
 
 def oracle_channel_rows(scenario):
@@ -237,6 +238,13 @@ def test_each_scheme_rows_ignore_the_other_scheme():
     for scheme in SCHEMES:
         alone = se_sweep(fig12_scenario(), (scheme,), PA_NAMES, SNR_GRID)
         assert alone == [row for row in both if row[0] == scheme]
+
+
+def test_scheme_spectral_efficiency_refuses_an_unknown_pa():
+    links = {"uc": StreamLink((np.ones(1),) * 3, np.zeros((3, 3)))}
+    assert scheme_spectral_efficiency(links, "uc", "pa3", 10.0) > 0
+    with pytest.raises(ConfigError, match="unknown power allocation 'pa9'"):
+        scheme_spectral_efficiency(links, "uc", "pa9", 10.0)
 
 
 def test_cluster_rate_with_unequal_user_grids(mixed_scenario):
