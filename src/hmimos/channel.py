@@ -37,10 +37,12 @@ def radial_coeffs(k0r) -> tuple[np.ndarray, np.ndarray]:
 
     c1 multiplies the identity, c2 the outer product of the unit direction:
     c1 = 1 + i/(k0 r) - 1/(k0 r)^2 and c2 = 3/(k0 r)^2 - 3i/(k0 r) - 1.
+    A value that is not positive (k0 times a nonzero offset can underflow to
+    0) raises ``np.linalg.LinAlgError``.
     """
     arr = np.asarray(k0r, dtype=float)
     if np.any(arr <= 0):
-        raise ValueError("k0 * r must be positive")
+        raise np.linalg.LinAlgError("k0 * r must be positive")
     inv = 1.0 / arr
     inv2 = inv**2
     # In place, so that fewer complex temporaries are alive at once; the
@@ -72,7 +74,8 @@ def pair_blocks(diff, ds, area, k0: float) -> np.ndarray:
     against ``diff[..., 0]``.  Aperture sinc factors use the transmit patch
     dimensions; the receive patch contributes its area only.  Returns the
     (3, 3) + ``diff.shape[:-1]`` blocks: entry [p, q] is receive polarization
-    p, transmit polarization q.  A zero-length offset raises ``LinAlgError``.
+    p, transmit polarization q.  A zero-length offset, or one whose product
+    with ``k0`` underflows to 0, raises ``LinAlgError``.
     """
     diff = np.asarray(diff, dtype=float)
     dist = np.linalg.norm(diff, axis=-1)
@@ -205,8 +208,9 @@ def offset_tables(scenario: Scenario) -> list[tuple[np.ndarray, np.ndarray]]:
     equal receive and transmit pitch a grid user's table has span_r +
     span_t + 1 offsets per axis and pairs at equal grid offset share one
     entry; at unequal pitch it has about one entry per pair.  Some pair
-    reads every entry.  A user with a zero-length offset or a table that is
-    not finite raises ``np.linalg.LinAlgError``.
+    reads every entry.  A user with a zero-length offset, an offset whose
+    product with k0 underflows to 0, or a table that is not finite raises
+    ``np.linalg.LinAlgError``.
     """
     tx_spec = scenario.transmit
     tx_frame = _index_frame(tx_spec)
@@ -219,8 +223,11 @@ def offset_tables(scenario: Scenario) -> list[tuple[np.ndarray, np.ndarray]]:
         with np.errstate(all="ignore"):  # an offset or pitch that overflows is refused below
             table = pair_blocks(diff, (tx_spec.dx, tx_spec.dy), area, scenario.k0)
     except np.linalg.LinAlgError:  # users sit above the transmitter, so only an underflow gives 0
-        user = np.searchsorted(bounds, np.argmin(np.linalg.norm(diff, axis=-1)), side="right")
-        raise np.linalg.LinAlgError(f"user {user}: a patch offset underflows to length 0") from None
+        dist = np.linalg.norm(diff, axis=-1)
+        i = np.argmin(dist)
+        user = np.searchsorted(bounds, i, side="right")
+        what = "to length 0" if dist[i] == 0.0 else "to 0 when multiplied by k0"
+        raise np.linalg.LinAlgError(f"user {user}: a patch offset underflows {what}") from None
     tables = [(table[..., lo:hi], code) for lo, hi, code in zip(bounds, bounds[1:], codes)]
     for k, (user_table, _) in enumerate(tables):
         if not np.isfinite(user_table).all():

@@ -54,8 +54,8 @@ def capacity(h, snr) -> float | np.ndarray:
     sum_i log2(1 + snr lambda_i), so one spectrum gives every SNR point.
     For an identity channel of size n this is n * log2(1 + snr).  Returns a
     float for a scalar ``snr`` and an array of ``snr``'s shape otherwise.
-    A channel whose spectrum or trace is not finite in double precision
-    raises ``np.linalg.LinAlgError``.
+    A channel whose spectrum or trace is not finite in double precision, or
+    whose trace is too small to normalize, raises ``np.linalg.LinAlgError``.
     """
     snrs = np.asarray(snr, dtype=float)
     if np.any(snrs <= 0):
@@ -63,12 +63,16 @@ def capacity(h, snr) -> float | np.ndarray:
     with np.errstate(over="ignore"):  # checked below
         lam = eigen_spectrum(h)
         total = lam.sum()
+        scale = np.shape(h)[0] / total if total > 0.0 else 1.0  # a zero channel keeps lam = 0
     if not np.isfinite(total):
         raise np.linalg.LinAlgError(
             f"channel spectrum is not finite in double precision (trace {total:.3g})"
         )
-    if total > 0.0:  # a zero channel keeps lam = 0 and a capacity of 0
-        lam *= np.shape(h)[0] / total
+    if not np.isfinite(scale):  # a subnormal trace
+        raise np.linalg.LinAlgError(
+            f"channel spectrum cannot be normalized in double precision (trace {total:.3g})"
+        )
+    lam *= scale
     caps = np.log1p(np.multiply.outer(snrs, lam)).sum(axis=-1) / np.log(2.0)
     return float(caps) if caps.ndim == 0 else caps
 

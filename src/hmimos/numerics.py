@@ -1,15 +1,17 @@
-"""Dense complex-matrix kernels used by every other module.
+"""Dense complex-matrix kernels of the precoder, and the default rank cutoff.
 
-All routines are pure functions of their inputs.  Rank decisions use a
-relative singular-value cutoff (``tol`` times the largest singular value), so
-they behave consistently on non-square and rank-deficient blocks.  Singular vectors carry LAPACK's arbitrary
-phases; every consumer is invariant to them, and repeated runs on the same
-input and BLAS thread count produce identical matrices.  Only
-:func:`svd_partition` forms a full V (it must, to return a null-space
-basis).  The precoder calls it to orient each group's block-diagonalization
-basis, on matrices no wider than the joint row space of the receivers, and
-for the others' null spaces only when the stacked groups are rank-deficient;
-everything else takes the thin :func:`thin_svd`.
+Only :mod:`hmimos.precoding` calls these kernels; the CLI and the
+experiments import :data:`DEFAULT_TOL` alone.  All routines are pure
+functions of their inputs.  Rank decisions use a relative singular-value
+cutoff (``tol`` times the largest singular value), so they behave
+consistently on non-square and rank-deficient blocks.  Singular vectors
+carry LAPACK's arbitrary phases; every consumer is invariant to them, and
+repeated runs on the same input and BLAS thread count produce identical
+matrices.  Only :func:`svd_partition` forms a full V (it must, to return a
+null-space basis).  The precoder calls it to orient each group's
+block-diagonalization basis, on matrices no wider than the joint row space
+of the receivers, and for the others' null spaces only when the stacked
+groups are rank-deficient; everything else takes the thin :func:`thin_svd`.
 """
 
 from __future__ import annotations

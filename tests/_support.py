@@ -1,4 +1,4 @@
-"""Shared builders for randomized near-field test scenarios."""
+"""Shared builders for near-field test scenarios, randomized or read from text."""
 
 import numpy as np
 
@@ -32,3 +32,39 @@ def two_user_scenario(n_side=4, nr_grid=(2, 2), spacing=0.4):
         ),
     )
     return Scenario(wavelength=1.0, transmit=tx, users=users)
+
+
+# Three single-patch users in front of a 3x3 transmitter.  The console-script
+# smoke step of CI writes this text to a file and runs `hmimos` on it; the CLI
+# tests derive their edge-case scenarios from it with :func:`edited`.
+SMOKE_SCENARIO = """\
+tx.nx = 3
+tx.ny = 3
+tx.dx = 0.4
+tx.dy = 0.4
+rx.nx = 1
+rx.ny = 1
+rx.dx = 0.4
+rx.dy = 0.4
+user1.z = 1.0
+user1.cx = 0.5
+user1.cy = 0.3
+user2.z = 1.5
+user2.cx = -0.6
+user2.cy = 0.4
+user3.z = 2.0
+user3.cx = 0.2
+user3.cy = -0.7
+"""
+
+
+def edited(text, *lines):
+    """``text`` with each line's key line replaced by that line, or with it appended."""
+    rows = text.splitlines()
+    for line in lines:
+        key = line.split(" =")[0]
+        if any(row.startswith(key + " =") for row in rows):
+            rows = [line if row.startswith(key + " =") else row for row in rows]
+        else:
+            rows.append(line)
+    return "\n".join(rows) + "\n"

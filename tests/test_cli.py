@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _support import SMOKE_SCENARIO, edited
 
 from hmimos import cli
 from hmimos.cli import MAX_ABS_SNR_DB, MAX_SNR_POINTS, main, parse_snr_range
@@ -67,6 +69,14 @@ def read_rows(path):
     return header, [line.split(",") for line in lines[2:]]
 
 
+# The smoke scenario's users on 4x3 grids at pitch 0.3 before a 10x10
+# transmitter: 108 receive rows against 100 transmit patches, so the receive
+# rows nearly fill the transmit aperture.
+NEAR_CAPACITY_SCENARIO = edited(
+    SMOKE_SCENARIO, "tx.nx = 10", "tx.ny = 10", "rx.nx = 4", "rx.ny = 3", "rx.dx = 0.3", "rx.dy = 0.3"
+)
+
+
 def test_channel_subcommand_dimension_contract(tmp_path, capsys):
     scenario = write(tmp_path, "k2.cfg", K2_SCENARIO)
     assert main(["channel", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
@@ -101,6 +111,12 @@ def test_precode_sweep_grid_contract(tmp_path):
     assert len(rows) == 2 * 3 * 4
     keys = {(r[0], r[1], r[2]) for r in rows}
     assert len(keys) == 24
+
+    scenario = write(tmp_path, "near_capacity.cfg", NEAR_CAPACITY_SCENARIO)
+    out = tmp_path / "near_capacity"
+    assert main(["precode-sweep", "--scenario", str(scenario), "--out", str(out)]) == 0
+    _, rows = read_rows(out / "precode_sweep.csv")
+    assert len(rows) == 2 * 3 * 16  # schemes x allocations x default snr grid
 
 
 def test_two_layer_pa2_accepts_mixed_patch_counts(tmp_path):
@@ -155,27 +171,11 @@ def test_cluster_scheme_requires_k_multiple_of_three(tmp_path, capsys, monkeypat
 
 
 # A 5x4 transmitter that block diagonalization cannot serve: the users of
-# the console-script smoke scenario, each on a 4-patch circle at pitch 0.3.
-BD_FAILS_SCENARIO = """\
-tx.layout = rectangle
-tx.nx = 5
-tx.ny = 4
-tx.dx = 0.4
-tx.dy = 0.4
-rx.layout = circle
-rx.total = 4
-rx.dx = 0.3
-rx.dy = 0.3
-user1.z = 1.0
-user1.cx = 0.5
-user1.cy = 0.3
-user2.z = 1.5
-user2.cx = -0.6
-user2.cy = 0.4
-user3.z = 2.0
-user3.cx = 0.2
-user3.cy = -0.7
-"""
+# the smoke scenario, each on a 4-patch circle at pitch 0.3.
+BD_FAILS_SCENARIO = edited(
+    "".join(row for row in SMOKE_SCENARIO.splitlines(True) if not row.startswith("rx.")),
+    "tx.nx = 5", "tx.ny = 4", "rx.layout = circle", "rx.total = 4", "rx.dx = 0.3", "rx.dy = 0.3",
+)
 
 
 def test_cluster_scheme_runs_no_block_diagonalization(tmp_path, capsys, monkeypatch):
@@ -235,27 +235,9 @@ user1.z = 1.0
     assert "H_" in err
 
 
-# The console-script smoke scenario with a transmit pitch so small that the
-# channel's squared entries underflow and the correlation kernel overflows.
-UNDERFLOW_SCENARIO = """\
-tx.nx = 3
-tx.ny = 3
-tx.dx = 1e-300
-tx.dy = 0.4
-rx.nx = 1
-rx.ny = 1
-rx.dx = 0.4
-rx.dy = 0.4
-user1.z = 1.0
-user1.cx = 0.5
-user1.cy = 0.3
-user2.z = 1.5
-user2.cx = -0.6
-user2.cy = 0.4
-user3.z = 2.0
-user3.cx = 0.2
-user3.cy = -0.7
-"""
+# The smoke scenario with a transmit pitch so small that the channel's
+# squared entries underflow and the correlation kernel overflows.
+UNDERFLOW_SCENARIO = edited(SMOKE_SCENARIO, "tx.dx = 1e-300")
 
 
 @pytest.mark.parametrize(
@@ -274,25 +256,39 @@ def test_underflowing_channel_exits_three(tmp_path, capsys, command, message):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def _above(user, lateral, z):
+    """A user's lines that put its 1x1 surface at height ``z`` over a transmit patch."""
+    return (f"user{user}.z = {z}", f"user{user}.cx = {lateral}", f"user{user}.cy = {lateral}")
+
+
+CHANNEL_COMMANDS = ("channel", "dof", "capacity", "precode-sweep")
+K0_UNDERFLOWS = ("scenario.wavelength = 1e300", *_above(1, 0, 1e-30))
+
+
 @pytest.mark.parametrize(
-    "command, user, lateral, message",
-    [(command, 1, 0, "a patch offset underflows to length 0")
-     for command in ("channel", "dof", "capacity", "precode-sweep")]
-    + [("correlation", 1, 0, "xx correlation is not finite"),
-       ("dof", 3, 0.4, "a patch offset underflows to length 0")],
-    ids=["channel", "dof", "capacity", "precode-sweep", "correlation", "dof-user3-corner"],
+    "command, lines, user, message",
+    [(command, _above(1, 0, 1e-170), 1, "a patch offset underflows to length 0")
+     for command in CHANNEL_COMMANDS]
+    + [("correlation", _above(1, 0, 1e-170), 1, "xx correlation is not finite"),
+       ("dof", _above(3, 0.4, 1e-170), 3, "a patch offset underflows to length 0")]
+    + [(command, K0_UNDERFLOWS, 1, "a patch offset underflows to 0 when multiplied by k0")
+       for command in CHANNEL_COMMANDS]
+    + [("correlation", K0_UNDERFLOWS, 1, "k0 * r must be positive"),
+       ("correlation", ("scenario.wavelength = 1e300", "tx.dx = 1e-30"), 1,
+        "k0 * r must be positive")],
+    ids=["channel", "dof", "capacity", "precode-sweep", "correlation", "dof-user3-corner"]
+    + [f"{command}-k0-underflow" for command in CHANNEL_COMMANDS]
+    + ["correlation-k0-underflow", "correlation-k0-pitch-underflow"],
 )
 def test_user_above_a_transmit_patch_at_underflowing_height_exits_three(
-    tmp_path, capsys, command, user, lateral, message
+    tmp_path, capsys, command, lines, user, message
 ):
     # The user's 1x1 surface sits right over a patch of the 3x3 transmitter
     # (the centre one, or the corner one, whose zero offset is then the first
-    # entry of the user's table), at a height whose square underflows.
-    text = _edited(UNDERFLOW_SCENARIO, "tx.dx = 0.4")
-    for line in (f"user{user}.z = 1e-170", f"user{user}.cx = {lateral}",
-                 f"user{user}.cy = {lateral}"):
-        text = _edited(text, line)
-    scenario = write(tmp_path, "aligned.cfg", text)
+    # entry of the user's table), at a height whose square underflows, or
+    # whose product with k0 does at a wavelength of 1e300.  With that
+    # wavelength a tiny transmit pitch underflows the correlation kernel alone.
+    scenario = write(tmp_path, "aligned.cfg", edited(SMOKE_SCENARIO, *lines))
     assert main([command, "--scenario", str(scenario), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert f"numerical failure: user {user}: {message}" in err
@@ -302,10 +298,9 @@ def test_user_above_a_transmit_patch_at_underflowing_height_exits_three(
 
 @pytest.mark.parametrize("line, user", [("tx.dx = 1e300", 1), ("user2.cx = 1e308", 2)],
                          ids=["huge-pitch", "far-user"])
-@pytest.mark.parametrize("command", ["channel", "dof", "capacity", "precode-sweep"])
+@pytest.mark.parametrize("command", CHANNEL_COMMANDS)
 def test_overflowing_channel_exits_three(tmp_path, capsys, command, line, user):
-    text = _edited(_edited(UNDERFLOW_SCENARIO, "tx.dx = 0.4"), line)
-    scenario = write(tmp_path, "huge.cfg", text)
+    scenario = write(tmp_path, "huge.cfg", edited(SMOKE_SCENARIO, line))
     assert main([command, "--scenario", str(scenario), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert f"numerical failure: user {user}: channel is not finite" in err
@@ -317,12 +312,14 @@ def test_overflowing_channel_exits_three(tmp_path, capsys, command, line, user):
     "pitch, command, message",
     [("1e40", "dof", "numerical failure: user 1: diversity gain is not finite"),
      ("1e100", "dof", "numerical failure: user 1: diversity gain is not finite"),
-     ("1e100", "capacity", "numerical failure: channel spectrum is not finite")],
-    ids=["dof-1e40", "dof-1e100", "capacity-1e100"],
+     ("1e100", "capacity", "numerical failure: channel spectrum is not finite"),
+     ("1e-77", "capacity", "numerical failure: channel spectrum cannot be normalized")],
+    ids=["dof-1e40", "dof-1e100", "capacity-1e100", "capacity-1e-77"],
 )
 def test_overflowing_channel_metrics_exit_three(tmp_path, capsys, pitch, command, message):
-    # The channel is finite, but its squared norm, Gram norm or spectrum overflows.
-    text = _edited(_edited(UNDERFLOW_SCENARIO, f"tx.dx = {pitch}"), f"tx.dy = {pitch}")
+    # The channel is finite, but its squared norm, Gram norm or spectrum
+    # overflows, or its trace is so small that the factor normalizing it does.
+    text = edited(SMOKE_SCENARIO, f"tx.dx = {pitch}", f"tx.dy = {pitch}")
     scenario = write(tmp_path, "huge.cfg", text)
     assert main([command, "--scenario", str(scenario), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
@@ -344,6 +341,46 @@ def test_preset_runs_and_reruns_identically(tmp_path):
     a = (out1 / "fig4_correlation_vs_spacing.csv").read_bytes()
     b = (out2 / "fig4_correlation_vs_spacing.csv").read_bytes()
     assert a == b
+
+
+RERUN = """\
+import json, sys
+from hmimos.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_scenario_subcommands_rerun_byte_identically_in_fresh_interpreters(tmp_path):
+    texts = {
+        "smoke": SMOKE_SCENARIO,
+        "fine_rx": edited(SMOKE_SCENARIO, "rx.dx = 0.3", "rx.dy = 0.3"),
+        "near_capacity": NEAR_CAPACITY_SCENARIO,
+        "mixed": edited(SMOKE_SCENARIO, "user3.nx = 2"),
+    }
+    cfg = {name: str(write(tmp_path, f"{name}.cfg", text)) for name, text in texts.items()}
+    runs = [[command, "--scenario", cfg[name], "--out", name]
+            for name in ("smoke", "fine_rx")
+            for command in ("channel", "correlation", "dof", "capacity", "precode-sweep")]
+    runs += [["precode-sweep", "--scenario", cfg["near_capacity"], "--out", "near_capacity"],
+             ["channel", "--scenario", cfg["mixed"], "--out", "mixed"]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    children = {}
+    for seed in ("0", "1"):  # both at once, each with its own string hashing
+        cwd = tmp_path / f"hashseed{seed}"
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed, "OPENBLAS_NUM_THREADS": "1"}
+        children[cwd] = subprocess.Popen([sys.executable, "-c", RERUN, json.dumps(runs)],
+                                         cwd=cwd, env=env, stderr=subprocess.PIPE, text=True)
+    outputs = []
+    for cwd, child in children.items():
+        _, err = child.communicate()
+        assert child.returncode == 0, err
+        outputs.append({p.relative_to(cwd): p.read_bytes() for p in cwd.rglob("*") if p.is_file()})
+    assert len(outputs[0]) == len(runs)
+    assert outputs[0].keys() == outputs[1].keys()
+    assert not [str(p) for p in outputs[0] if outputs[0][p] != outputs[1][p]], "rerun differs"
 
 
 def test_capacity_subcommand(tmp_path):
@@ -523,6 +560,12 @@ def test_preset_grid_contracts(tmp_path):
     assert len(rows) == 3 * 9  # three distances, nine element counts
     assert {r[0] for r in rows} == {"5", "7", "9"}
 
+    assert main(["preset", "--preset", "fig11", "--out", str(tmp_path)]) == 0
+    header, rows = read_rows(tmp_path / "fig11_dof_vs_shape.csv")
+    assert header == ["shape", "n_tx", "dof"]
+    assert len(rows) == 5 * 4  # patch counts x shapes
+    assert {r[0] for r in rows} == {"circle", "rect16x4", "rect32x2", "square"}
+
     for name in ("fig12", "fig13"):
         assert main(["preset", "--preset", name, "--out", str(tmp_path)]) == 0
         header, rows = read_rows(tmp_path / f"{name}_spectral_efficiency.csv")
@@ -555,13 +598,11 @@ def test_non_finite_number_exits_two(tmp_path, capsys, command, line):
 def test_oversized_surface_exits_two(tmp_path, capsys, command, lines, field):
     # numpy cannot index this many patches: refused as a configuration error
     # rather than a ValueError traceback from the index arrays.
-    text = _edited(UNDERFLOW_SCENARIO, "tx.dx = 0.4")
+    text = SMOKE_SCENARIO
     if "circle" in lines:
         rows = text.splitlines(True)
         text = "".join(row for row in rows if not row.startswith(("tx.nx", "tx.ny")))
-    for line in lines.split("\n"):
-        text = _edited(text, line)
-    scenario = write(tmp_path, "huge.cfg", text)
+    scenario = write(tmp_path, "huge.cfg", edited(text, *lines.split("\n")))
     assert main([command, "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"configuration error: {field} must be at most 100000000" in err
@@ -685,17 +726,6 @@ def test_unreadable_scenario_and_unwritable_output_exit_two(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.csv"))
 
 
-def _edited(text, line):
-    """``text`` with the line of ``line``'s key replaced by ``line``, or with it appended."""
-    key = line.split(" =")[0]
-    rows = text.splitlines()
-    if any(row.startswith(key + " =") for row in rows):
-        rows = [line if row.startswith(key + " =") else row for row in rows]
-    else:
-        rows.append(line)
-    return "\n".join(rows) + "\n"
-
-
 @pytest.mark.parametrize(
     "lines, message",
     [
@@ -724,17 +754,14 @@ def _edited(text, line):
     ],
 )
 def test_lax_scenario_key_exits_two(tmp_path, capsys, lines, message):
-    text = K2_SCENARIO
-    for line in lines.split("\n"):
-        text = _edited(text, line)
-    scenario = write(tmp_path, "bad.cfg", text)
+    scenario = write(tmp_path, "bad.cfg", edited(K2_SCENARIO, *lines.split("\n")))
     assert main(["dof", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
 def test_user_layout_overrides_rx_default(tmp_path):
-    text = _edited(K2_SCENARIO, "rx.layout = square") + "user2.layout = rectangle\nuser2.nx = 3\n"
+    text = edited(K2_SCENARIO, "rx.layout = square") + "user2.layout = rectangle\nuser2.nx = 3\n"
     scenario = load_scenario(write(tmp_path, "ok.cfg", text))
     assert scenario.users[0].surface.layout == "square"
     assert (scenario.users[1].surface.nx, scenario.users[1].surface.ny) == (3, 2)
@@ -753,10 +780,7 @@ def test_user_layout_overrides_rx_default(tmp_path):
     ids=["tx-nx", "tx-dx", "rx-dy", "user2-z", "wavelength", "total-power", "user3-total"],
 )
 def test_out_of_range_value_names_its_key(tmp_path, capsys, lines, message):
-    text = _edited(UNDERFLOW_SCENARIO, "tx.dx = 0.4")  # the console-script smoke scenario
-    for line in lines.split("\n"):
-        text = _edited(text, line)
-    scenario = write(tmp_path, "bad.cfg", text)
+    scenario = write(tmp_path, "bad.cfg", edited(SMOKE_SCENARIO, *lines.split("\n")))
     assert main(["channel", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"configuration error: {message}" in err

@@ -283,6 +283,9 @@ def test_channel_dof_extra_memory_is_a_fraction_of_the_channel(fig10_pair):
 def test_capacity_raises_on_an_overflowing_spectrum():
     with pytest.raises(np.linalg.LinAlgError, match="spectrum is not finite"):
         capacity(1e200 * np.ones((3, 5)), 10.0)
+    # A subnormal trace (4e-320): the factor that normalizes it overflows.
+    with pytest.raises(np.linalg.LinAlgError, match="cannot be normalized"):
+        capacity(1e-160 * np.ones((2, 2)), 10.0)
 
 
 def test_channel_dof_does_not_import_scipy():

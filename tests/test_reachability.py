@@ -1,12 +1,19 @@
 """Every function in ``src/hmimos`` runs on some CLI path.
 
-A fresh interpreter runs the five scenario subcommands on the console-script
-smoke scenario (at receive pitch 0.4 and 0.3) and all 11 presets, with a
-profile hook on function calls installed before ``hmimos`` is imported.  Any
-function definition in ``src/hmimos`` whose code never ran, outside the
-allowlist below, fails the test: a helper that only tests call belongs in
-``tests/_oracles.py``.  fig10 and fig11 run on one patch count each, which
-takes their real code paths in milliseconds.
+A fresh interpreter runs the five scenario subcommands on the smoke scenario
+(``SMOKE_SCENARIO`` in ``tests/_support.py``, at receive pitch 0.4 and 0.3)
+and all 11 presets, with a profile hook on function calls installed before
+``hmimos`` is imported.  Any function definition in ``src/hmimos`` whose code
+never ran, outside the allowlist below, fails the test: a helper that only
+tests call belongs in ``tests/_oracles.py``.  fig10 and fig11 run on one
+patch count each, which takes their real code paths in milliseconds.
+
+CI's console-script smoke step runs the installed ``hmimos`` on the same
+scenario with only the three checks that need an installed script: a
+``precode-sweep`` that exits 0 and writes 20 lines, ``--schemes=`` exiting 2,
+and a ``channel`` run with user 1 right above a transmit patch exiting 3
+with no CSV.  The rest of the CLI contract is checked here and in
+``test_cli.py``.
 """
 
 import ast
@@ -15,6 +22,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from _support import SMOKE_SCENARIO, edited
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -40,19 +49,9 @@ from hmimos import cli, experiments
 experiments.DOF_GRID = (36,)
 experiments.SHAPE_GRID = (16,)
 out = Path(sys.argv[1])
-smoke = out / "s.cfg"
-smoke.write_text(
-    "tx.nx = 3\\ntx.ny = 3\\ntx.dx = 0.4\\ntx.dy = 0.4\\n"
-    "rx.nx = 1\\nrx.ny = 1\\nrx.dx = 0.4\\nrx.dy = 0.4\\n"
-    "user1.z = 1.0\\nuser1.cx = 0.5\\nuser1.cy = 0.3\\n"
-    "user2.z = 1.5\\nuser2.cx = -0.6\\nuser2.cy = 0.4\\n"
-    "user3.z = 2.0\\nuser3.cx = 0.2\\nuser3.cy = -0.7\\n"
-)
-fine = out / "fine_rx.cfg"
-fine.write_text(smoke.read_text().replace("rx.dx = 0.4\\nrx.dy = 0.4", "rx.dx = 0.3\\nrx.dy = 0.3"))
 runs = [
     [command, "--scenario", str(scenario), "--out", str(out / scenario.stem), *extra]
-    for scenario in (smoke, fine)
+    for scenario in (out / "s.cfg", out / "fine_rx.cfg")
     for command, extra in [
         ("channel", []), ("correlation", []), ("dof", []),
         ("capacity", ["--snr", "0,10"]), ("precode-sweep", ["--tol", "1e-10"]),
@@ -91,6 +90,8 @@ def _definitions():
 
 
 def test_every_src_function_runs_on_a_cli_path(tmp_path):
+    (tmp_path / "s.cfg").write_text(SMOKE_SCENARIO)
+    (tmp_path / "fine_rx.cfg").write_text(edited(SMOKE_SCENARIO, "rx.dx = 0.3", "rx.dy = 0.3"))
     reached = tmp_path / "reached.json"
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
     out = subprocess.run(
